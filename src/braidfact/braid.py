@@ -137,23 +137,23 @@ class CanonicalForm:
 
     def to_word(self) -> BraidWord:
         """A word equal to this form: the half twist inf times, then factors."""
-        half = half_twist(self.strands).letters
-        if self.inf >= 0:
-            letters = list(half) * self.inf
-        else:
-            letters = [-k for k in reversed(half)] * (-self.inf)
-        for p in self.factors:
-            letters.extend(permutation_braid_letters(p))
-        return BraidWord(self.strands, tuple(letters))
+        return _nf_word(self.strands, self.inf, (p.images for p in self.factors))
 
 
 def permutation_braid_letters(p: Permutation) -> tuple[int, ...]:
-    """Positive word for the permutation braid of p (one letter per inversion).
+    """Positive word for the permutation braid of p (one letter per inversion)."""
+    return _simple_letters(p.images)
+
+
+def _simple_letters(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Positive word for the permutation braid with these images.
 
     Bubble sort by adjacent position swaps; recording swap indices in the
-    order performed yields a reduced word composing left to right to p.
+    order performed yields a reduced word composing left to right to the
+    permutation.  Only images are compared, so 0-based and 1-based image
+    tuples give the same word.
     """
-    v = list(p.images)
+    v = list(images)
     out = []
     moved = True
     while moved:
@@ -211,8 +211,31 @@ def _cached_nf(d: int, letters: tuple[int, ...]) -> tuple[int, tuple[tuple[int, 
     return _kernel_normal_form(d, letters)
 
 
+def nf_key(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The normal form of w as the kernel gives it: (inf, factors).
+
+    Each factor is the 0-based image tuple of a permutation braid.  The pair
+    is hashable and equal exactly when the braids are equal, so it is the
+    package's one normal-form key; inf is pair[0], the canonical length
+    len(pair[1]).
+    """
+    return _cached_nf(w.strands, w.letters)
+
+
+def _nf_word(d: int, inf: int, factors) -> BraidWord:
+    """The word D^inf A_1 ... A_k, each A_i given by an image tuple."""
+    half = half_twist(d).letters
+    if inf >= 0:
+        letters = list(half) * inf
+    else:
+        letters = [-k for k in reversed(half)] * (-inf)
+    for images in factors:
+        letters.extend(_simple_letters(images))
+    return BraidWord(d, tuple(letters))
+
+
 def canonical_form(w: BraidWord) -> CanonicalForm:
-    inf, factors = _cached_nf(w.strands, w.letters)
+    inf, factors = nf_key(w)
     return CanonicalForm(
         w.strands,
         inf,
@@ -222,13 +245,13 @@ def canonical_form(w: BraidWord) -> CanonicalForm:
 
 def normalized(w: BraidWord) -> BraidWord:
     """The word of the canonical form; equal to w, length-stable under reuse."""
-    return canonical_form(w).to_word()
+    return _nf_word(w.strands, *nf_key(w))
 
 
 def equals(u: BraidWord, v: BraidWord) -> bool:
     if u.strands != v.strands:
         raise ValueError(f"strand mismatch: {u.strands} vs {v.strands}")
-    return _cached_nf(u.strands, u.letters) == _cached_nf(v.strands, v.letters)
+    return nf_key(u) == nf_key(v)
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -246,7 +269,7 @@ def permutation_of(w: BraidWord) -> Permutation:
 
 def is_positive(w: BraidWord) -> bool:
     """Membership in the positive monoid, decided by canonical inf >= 0."""
-    return canonical_form(w).inf >= 0
+    return nf_key(w)[0] >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +337,7 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     for n in range(max_len + 1):
         for letters in itertools.product(alphabet, repeat=n):
             w = BraidWord(d, letters)
-            cf = canonical_form(w)
-            key = (cf.inf, tuple(p.images for p in cf.factors))
+            key = nf_key(w)
             if key not in seen:
                 seen.add(key)
                 out.append(w)
@@ -325,78 +347,72 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
 @lru_cache(maxsize=64)
 def _simple_words(d: int) -> tuple[BraidWord, ...]:
     """Words of all non-identity permutation braids, in a fixed order."""
-    out = []
-    for images in itertools.permutations(range(1, d + 1)):
-        p = Permutation(images)
-        if not p.is_identity():
-            out.append(BraidWord(d, permutation_braid_letters(p)))
-    return tuple(out)
+    identity = tuple(range(d))
+    return tuple(
+        BraidWord(d, _simple_letters(p))
+        for p in itertools.permutations(identity)
+        if p != identity
+    )
 
 
-def _tau(p: Permutation) -> Permutation:
-    """Conjugation of a permutation braid by the half twist."""
-    d = p.size
-    return Permutation(tuple(d + 1 - p.apply(d + 1 - x) for x in range(1, d + 1)))
-
-
-def _nf_key(cf: CanonicalForm) -> tuple:
-    return (cf.inf, tuple(p.images for p in cf.factors))
+def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugation of a permutation braid (0-based images) by the half twist."""
+    d = len(images)
+    return tuple(d - 1 - y for y in reversed(images))
 
 
 def _summit(u: BraidWord, w: BraidWord, z: BraidWord, budget: _WorkBudget):
     """Cycle to maximal inf and decycle to minimal sup, from w = z^-1 u z.
 
-    Returns (w', z', cf') with w' a summit element and conjugate(u, z') = w'.
-    Trajectories are followed until a repeated normal form; the best element
-    seen is kept.  Iterated cycling cannot increase sup and iterated
-    decycling cannot decrease inf, so each phase ranges over a finite set.
+    Returns (w', z', key') with w' a summit element, key' = nf_key(w') and
+    conjugate(u, z') = w'.  Trajectories are followed until a repeated
+    normal form; the best element seen is kept.  Iterated cycling cannot
+    increase sup and iterated decycling cannot decrease inf, so each phase
+    ranges over a finite set.
     """
     budget.tick()
-    cf = canonical_form(w)
+    key = nf_key(w)
     improved = True
     while improved:
         improved = False
         # cycling phase: push inf up
-        best = (w, z, cf)
-        seen = {_nf_key(cf)}
-        cur, zcur, cfc = w, z, cf
-        while cfc.factors:
-            head = cfc.factors[0]
-            if cfc.inf % 2:
-                head = _tau(head)
-            step = BraidWord(u.strands, permutation_braid_letters(head))
+        best = (w, z, key)
+        seen = {key}
+        cur, zcur, (inf, factors) = w, z, key
+        while factors:
+            head = _tau(factors[0]) if inf % 2 else factors[0]
+            step = BraidWord(u.strands, _simple_letters(head))
             budget.tick()
             cur = normalized(conjugate(cur, step))
             zcur = normalized(compose(zcur, step))
-            cfc = canonical_form(cur)
-            if cfc.inf > best[2].inf:
-                best = (cur, zcur, cfc)
+            k = nf_key(cur)
+            inf, factors = k
+            if inf > best[2][0]:
+                best = (cur, zcur, k)
                 improved = True
-            k = _nf_key(cfc)
             if k in seen:
                 break
             seen.add(k)
-        w, z, cf = best
+        w, z, key = best
         # decycling phase: push sup down
-        best = (w, z, cf)
-        seen = {_nf_key(cf)}
-        cur, zcur, cfc = w, z, cf
-        while cfc.factors:
-            tail = cfc.factors[-1]
-            step = invert(BraidWord(u.strands, permutation_braid_letters(tail)))
+        best = (w, z, key)
+        seen = {key}
+        cur, zcur, (inf, factors) = w, z, key
+        while factors:
+            step = invert(BraidWord(u.strands, _simple_letters(factors[-1])))
             budget.tick()
             cur = normalized(conjugate(cur, step))
             zcur = normalized(compose(zcur, step))
-            cfc = canonical_form(cur)
-            if cfc.sup < best[2].sup:
-                best = (cur, zcur, cfc)
+            k = nf_key(cur)
+            inf, factors = k
+            if inf + len(factors) < best[2][0] + len(best[2][1]):
+                best = (cur, zcur, k)
                 improved = True
-            k = _nf_key(cfc)
             if k in seen:
                 break
             seen.add(k)
-        w, z, cf = best
-    return w, z, cf
+        w, z, key = best
+    return w, z, key
 
 
 def _better(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -415,32 +431,29 @@ def _super_summit_set(u: BraidWord, budget: _WorkBudget):
     """
     d = u.strands
     simples = _simple_words(d)
-    w, z, cf = _summit(u, u, identity_word(d), budget)
+    w, z, key = _summit(u, u, identity_word(d), budget)
     while True:
-        best = (cf.inf, cf.canonical_length)
-        states = {_nf_key(cf): (z, w)}
-        queue = [_nf_key(cf)]
+        best = (key[0], len(key[1]))
+        states = {key: (z, w)}
+        queue = [key]
         restart = None
         while queue and restart is None:
-            key = queue.pop(0)
-            zcur, wcur = states[key]
+            zcur, wcur = states[queue.pop(0)]
             for step in simples:
                 budget.tick()
                 cand = normalized(conjugate(wcur, step))
-                cfc = canonical_form(cand)
-                q = (cfc.inf, cfc.canonical_length)
+                k = nf_key(cand)
+                q = (k[0], len(k[1]))
                 if _better(q, best):
                     zc = normalized(compose(zcur, step))
                     restart = _summit(u, cand, zc, budget)
                     break
-                if q == best:
-                    k = _nf_key(cfc)
-                    if k not in states:
-                        states[k] = (normalized(compose(zcur, step)), cand)
-                        queue.append(k)
+                if q == best and k not in states:
+                    states[k] = (normalized(compose(zcur, step)), cand)
+                    queue.append(k)
         if restart is None:
             return states, best
-        w, z, cf = restart
+        w, z, key = restart
 
 
 def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
@@ -486,8 +499,8 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
 
 
 def summit_key(w: BraidWord, budget: int):
-    """A conjugacy-invariant key: the least normal form in the super summit
-    set, or None if the budget is exhausted before the set is closed."""
+    """A conjugacy-invariant key: the least nf_key in the super summit set,
+    or None if the budget is exhausted before the set is closed."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     wb = _WorkBudget(budget)

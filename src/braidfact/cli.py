@@ -121,7 +121,10 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_fulltwist(args) -> int:
-    text = format_word(full_twist(args.strands))
+    try:
+        text = format_word(full_twist(args.strands))
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
     _emit(args, [("word", text)], text)
     return 0
 
@@ -179,10 +182,11 @@ def _cmd_search(args) -> int:
 
 
 def _format_conj_key(entry) -> str:
+    """inf:factors, each factor's 0-based images written 1-based."""
     if entry[0] == "unknown":
         return "unknown"
     inf, perms = entry[1]
-    return f"{inf}:" + "-".join(".".join(str(i) for i in p) for p in perms)
+    return f"{inf}:" + "-".join(".".join(str(i + 1) for i in p) for p in perms)
 
 
 def _cmd_fingerprint(args) -> int:
@@ -223,7 +227,11 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_pi1(args) -> int:
-    P = zvk_presentation(_load_factorization(args.file))
+    F = _load_factorization(args.file)
+    try:
+        P = zvk_presentation(F)
+    except ValueError as e:  # generic or non-validating file: the input is at fault
+        raise FormatError(str(e)) from None
     if args.simplify > 0:
         P = simplify(P, budget=args.simplify)
     sys.stdout.write(format_presentation(P))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
-    canonical_form,
     conjugate,
     enumerate_braids,
     equals,
@@ -21,6 +20,7 @@ from .braid import (
     format_word,
     identity_word,
     invert,
+    nf_key,
     normalized,
     parse_word,
     permutation_of,
@@ -43,8 +43,8 @@ class Fingerprint:
     """Invariants of the move-and-conjugation equivalence.
 
     Every field is unchanged by Hurwitz moves and by simultaneous
-    conjugation.  conjugacy_keys entries may be ("unknown",) when the
-    per-factor conjugacy search ran out of budget.
+    conjugation.  conjugacy_keys entries are ("known", summit_key) or
+    ("unknown",) when the per-factor conjugacy search ran out of budget.
     """
 
     strands: int
@@ -83,12 +83,9 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
 
 
 def canonical_key(F: Factorization) -> tuple:
-    """Hashable key equal exactly when factor tuples match word by word."""
-    out = []
-    for w in factor_words(F):
-        cf = canonical_form(w)
-        out.append((cf.inf, tuple(p.images for p in cf.factors)))
-    return tuple(out)
+    """Hashable key equal exactly when factor tuples match braid by braid:
+    the nf_key of every factor word, in order."""
+    return tuple(nf_key(w) for w in factor_words(F))
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,38 @@ def _normalize_state(F: Factorization) -> Factorization:
 
 
 def _max_canonical_length(F: Factorization) -> int:
-    return max(
-        (canonical_form(w).canonical_length for w in factor_words(F)),
-        default=0,
-    )
+    return max((len(pair[1]) for pair in canonical_key(F)), default=0)
+
+
+def _orbit(F: Factorization, nf_bound: int, max_states: int):
+    """Breadth-first Hurwitz-move orbit of F: one (key, path) per new state.
+
+    F itself comes first with the empty path; moves are tried in ascending
+    index order, "left" before "right".  A state with a factor of canonical
+    length above nf_bound is skipped.  The search stops after max_states
+    states, so the orbit is complete only if fewer were yielded.
+    """
+    start = _normalize_state(F)
+    start_key = canonical_key(start)
+    seen = {start_key}
+    yield start_key, ()
+    frontier = [(start, ())]
+    while frontier:
+        next_frontier = []
+        for state, path in frontier:
+            for i in range(1, state.r):
+                for direction in ("left", "right"):
+                    if len(seen) >= max_states:
+                        return
+                    child = _normalize_state(hurwitz_move(state, i, direction))
+                    key = canonical_key(child)
+                    if key in seen or any(len(pair[1]) > nf_bound for pair in key):
+                        continue
+                    seen.add(key)
+                    child_path = path + ((i, direction),)
+                    yield key, child_path
+                    next_frontier.append((child, child_path))
+        frontier = next_frontier
 
 
 def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorization:
@@ -189,94 +214,36 @@ def decide_equivalence(
     # match targets: state G hits when G equals conjugate_all(F2, z^-1)
     targets: dict[tuple, BraidWord] = {}
     for z in enumerate_braids(F1.strands, budget.conjugator_length_bound):
-        key = canonical_key(_normalize_state(conjugate_all(F2, invert(z))))
-        targets.setdefault(key, z)
+        targets.setdefault(canonical_key(conjugate_all(F2, invert(z))), z)
 
-    def hit(key) -> BraidWord | None:
-        return targets.get(key)
-
-    def verified(path, z) -> EquivalenceVerdict:
-        G = replay(F1, path, z)
-        got = factor_words(G)
+    states = 0
+    for key, path in _orbit(F1, nf_bound, budget.max_states):
+        states += 1
+        z = targets.get(key)
+        if z is None:
+            continue
+        got = factor_words(replay(F1, path, z))
         want = factor_words(F2)
-        if len(got) != len(want) or not all(
-            equals(a, b) for a, b in zip(got, want)
-        ):
+        if len(got) != len(want) or not all(equals(a, b) for a, b in zip(got, want)):
             raise AssertionError("equivalence path failed replay verification")
-        return EquivalenceVerdict(
-            "equivalent", path=tuple(path), conjugator=z, states=len(seen)
-        )
-
-    start = _normalize_state(F1)
-    start_key = canonical_key(start)
-    seen = {start_key}
-    frontier = [(start, ())]
-    z = hit(start_key)
-    if z is not None:
-        return verified((), z)
-
-    truncated = len(seen) >= budget.max_states
-    while frontier and not truncated:
-        next_frontier = []
-        for state, path in frontier:
-            if truncated:
-                break
-            for i in range(1, state.r):
-                if truncated:
-                    break
-                for direction in ("left", "right"):
-                    child = _normalize_state(hurwitz_move(state, i, direction))
-                    if any(
-                        canonical_form(w).canonical_length > nf_bound
-                        for w in factor_words(child)
-                    ):
-                        continue
-                    key = canonical_key(child)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    z = hit(key)
-                    if z is not None:
-                        return verified(path + ((i, direction),), z)
-                    next_frontier.append((child, path + ((i, direction),)))
-                    if len(seen) >= budget.max_states:
-                        truncated = True
-                        break
-        frontier = next_frontier
+        return EquivalenceVerdict("equivalent", path=path, conjugator=z, states=states)
     return EquivalenceVerdict(
-        "inconclusive", states=len(seen), orbit_complete=not truncated
+        "inconclusive", states=states, orbit_complete=states < budget.max_states
     )
 
 
 def explore_orbit(
     F: Factorization, max_states: int, max_factor_nf_length: int | None = None
 ):
-    """Keys of the bounded Hurwitz-move orbit of F; complete flag included."""
+    """At most max_states canonical keys of the bounded Hurwitz-move orbit
+    of F, and whether they are the whole bounded orbit."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
     nf_bound = max_factor_nf_length
     if nf_bound is None:
         nf_bound = 2 * max(_max_canonical_length(F), 1)
-    start = _normalize_state(F)
-    seen = {canonical_key(start)}
-    frontier = [start]
-    while frontier and len(seen) < max_states:
-        next_frontier = []
-        for state in frontier:
-            for i in range(1, state.r):
-                for direction in ("left", "right"):
-                    child = _normalize_state(hurwitz_move(state, i, direction))
-                    if any(
-                        canonical_form(w).canonical_length > nf_bound
-                        for w in factor_words(child)
-                    ):
-                        continue
-                    key = canonical_key(child)
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append(child)
-        frontier = next_frontier
-    return frozenset(seen), not frontier
+    keys = frozenset(key for key, _ in _orbit(F, nf_bound, max_states))
+    return keys, len(keys) < max_states
 
 
 # ---------------------------------------------------------------------------

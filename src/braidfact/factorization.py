@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
-    canonical_form,
     compose,
     conjugate,
     enumerate_braids,
@@ -23,6 +22,7 @@ from .braid import (
     full_twist,
     identity_word,
     invert,
+    nf_key,
     normalized,
     parse_word,
     permutation_of,
@@ -203,11 +203,6 @@ class _NodeBudget:
             raise SearchBudgetExceeded(self.used)
 
 
-def _nf_key(w: BraidWord):
-    cf = canonical_form(w)
-    return (cf.inf, tuple(p.images for p in cf.factors))
-
-
 def search_factorization(
     d: int,
     profile,
@@ -259,11 +254,11 @@ def search_factorization(
             budget.tick()
             w = normalized(factor_word(CuspidalFactor(rho, s)))
             words.append(w)
-            cf = canonical_form(w)
-            key = (cf.inf, tuple(p.images for p in cf.factors))
+            key = nf_key(w)
             table.setdefault(key, idx)
-            min_inf = cf.inf if min_inf is None else min(min_inf, cf.inf)
-            max_sup = cf.sup if max_sup is None else max(max_sup, cf.sup)
+            inf, sup = key[0], key[0] + len(key[1])
+            min_inf = inf if min_inf is None else min(min_inf, inf)
+            max_sup = sup if max_sup is None else max(max_sup, sup)
         words_by_s[s] = words
         stats_by_s[s] = (min_inf, max_sup)
         table_by_s[s] = table
@@ -279,10 +274,10 @@ def search_factorization(
         odd = sum(1 for s in remaining if s % 2)
         if odd < t_needed or (odd - t_needed) % 2:
             return False
-        cf = canonical_form(rest_word)
+        inf, factors = nf_key(rest_word)
         lo = sum(stats_by_s[s][0] for s in remaining)
         hi = sum(stats_by_s[s][1] for s in remaining)
-        return lo <= cf.inf and cf.sup <= hi
+        return lo <= inf and inf + len(factors) <= hi
 
     for seq in sorted(set(itertools.permutations(profile))):
         for s in set(seq):
@@ -294,7 +289,7 @@ def search_factorization(
         def rec(j: int, prefix: BraidWord) -> bool:
             budget.tick()
             rest = normalized(compose(invert(prefix), target))
-            key = (j, _nf_key(rest))
+            key = (j, nf_key(rest))
             if key in dead:
                 return False
             if not feasible(rest, seq[j:]):

@@ -120,7 +120,8 @@ def test_fingerprint_fields(capsys, cubic_file):
     assert "strands=3" in out and "s_multiset=1,1,1,3" in out
     assert "conj_keys" not in out
     code, out, _ = run(capsys, "fingerprint", cubic_file, "--conj-budget", "2000")
-    assert "conj_keys=" in out
+    # keys are kernel tuples (0-based images), written 1-based
+    assert out.splitlines()[-1] == "conj_keys=0:1.3.2;0:1.3.2;0:1.3.2;0:1.3.2-1.3.2-1.3.2"
 
 
 def test_decide_verdicts(capsys, cubic_file, conic_file, tmp_path):
@@ -221,6 +222,22 @@ def test_malformed_files_exit_65(capsys, tmp_path):
     garbled = tmp_path / "garbled.fact"
     garbled.write_text("strands 3\ntarget full_twist\nfactor s=1 rho=0\n")
     assert run(capsys, "fingerprint", str(garbled))[0] == 65
+
+
+def test_pi1_unusable_factorization_is_input_error(capsys, tmp_path):
+    not_validating = "strands 3\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
+    generic = "strands 2\ntarget full_twist\nfactor word=1\nfactor word=1\n"
+    for text in (not_validating, generic):
+        f = tmp_path / "in.fact"
+        f.write_text(text)
+        code, _, err = run(capsys, "pi1", str(f))
+        assert code == 65 and err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_fulltwist_nonpositive_strands_is_usage_error(capsys):
+    for strands in ("0", "-2"):
+        code, _, err = run(capsys, "fulltwist", strands)
+        assert code == 64 and "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

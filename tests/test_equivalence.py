@@ -83,6 +83,12 @@ def test_orbit_of_conic_is_a_fixed_point():
     assert complete and len(keys) == 1
 
 
+def test_orbit_caps_states_exactly():
+    for m in (2, 5):
+        keys, complete = explore_orbit(CUBIC, max_states=m)
+        assert len(keys) <= m and complete is False
+
+
 def test_orbit_budget_checks():
     with pytest.raises(ValueError):
         explore_orbit(CONIC, max_states=0)
