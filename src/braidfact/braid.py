@@ -10,6 +10,12 @@ Conventions used throughout the package:
 * Normal forms are left greedy: w = D^inf . A_1 ... A_k where D is the half
   twist, each A_i is a permutation braid distinct from the identity and D,
   and every adjacent pair is left weighted.
+* A braid's normal form is held as the kernel's pair (inf, factors), each
+  factor the 0-based image tuple of a permutation braid (nf_key).  The
+  search loops here and in factorization and equivalence hold braids as
+  these pairs: a product is formed from the pairs' letters (nf_letters,
+  inverse_letters) and normalized once (nf_key_of).  Words appear only at
+  input and output.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._kernel import normal_form as _kernel_normal_form
-from .errors import FormatError
+from .errors import FormatError, SearchBudgetExceeded, WorkBudget
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,8 @@ class CanonicalForm:
 
     def to_word(self) -> BraidWord:
         """A word equal to this form: the half twist inf times, then factors."""
-        return _nf_word(self.strands, self.inf, (p.images for p in self.factors))
+        pair = (self.inf, tuple(p.images for p in self.factors))
+        return BraidWord(self.strands, nf_letters(self.strands, pair))
 
 
 def permutation_braid_letters(p: Permutation) -> tuple[int, ...]:
@@ -176,8 +183,12 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     return BraidWord(u.strands, u.letters + v.letters)
 
 
+def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-k for k in reversed(letters))
+
+
 def invert(u: BraidWord) -> BraidWord:
-    return BraidWord(u.strands, tuple(-k for k in reversed(u.letters)))
+    return BraidWord(u.strands, inverse_letters(u.letters))
 
 
 def conjugate(u: BraidWord, z: BraidWord) -> BraidWord:
@@ -222,16 +233,22 @@ def nf_key(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _cached_nf(w.strands, w.letters)
 
 
-def _nf_word(d: int, inf: int, factors) -> BraidWord:
-    """The word D^inf A_1 ... A_k, each A_i given by an image tuple."""
+def nf_key_of(d: int, letters: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """nf_key of the word with these letters in B_d, which are not checked."""
+    return _cached_nf(d, letters)
+
+
+def nf_letters(d: int, key) -> tuple[int, ...]:
+    """Letters of the word D^inf A_1 ... A_k of the normal-form key (inf, factors)."""
+    inf, factors = key
     half = half_twist(d).letters
     if inf >= 0:
         letters = list(half) * inf
     else:
-        letters = [-k for k in reversed(half)] * (-inf)
+        letters = list(inverse_letters(half)) * (-inf)
     for images in factors:
         letters.extend(_simple_letters(images))
-    return BraidWord(d, tuple(letters))
+    return tuple(letters)
 
 
 def canonical_form(w: BraidWord) -> CanonicalForm:
@@ -245,7 +262,7 @@ def canonical_form(w: BraidWord) -> CanonicalForm:
 
 def normalized(w: BraidWord) -> BraidWord:
     """The word of the canonical form; equal to w, length-stable under reuse."""
-    return _nf_word(w.strands, *nf_key(w))
+    return BraidWord(w.strands, nf_letters(w.strands, nf_key(w)))
 
 
 def equals(u: BraidWord, v: BraidWord) -> bool:
@@ -307,21 +324,6 @@ class ConjugacyResult:
     work: int = 0
 
 
-class _WorkBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self, cost: int = 1) -> None:
-        self.used += cost
-        if self.used > self.limit:
-            raise _BudgetHit()
-
-
-class _BudgetHit(Exception):
-    pass
-
-
 @lru_cache(maxsize=32)
 def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     """All distinct braids with a word of length <= max_len, one word each.
@@ -345,14 +347,12 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
 
 
 @lru_cache(maxsize=64)
-def _simple_words(d: int) -> tuple[BraidWord, ...]:
-    """Words of all non-identity permutation braids, in a fixed order."""
+def _simple_steps(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(letters, inverse letters) of every non-identity permutation braid,
+    in a fixed order."""
     identity = tuple(range(d))
-    return tuple(
-        BraidWord(d, _simple_letters(p))
-        for p in itertools.permutations(identity)
-        if p != identity
-    )
+    steps = [_simple_letters(p) for p in itertools.permutations(identity) if p != identity]
+    return tuple((step, inverse_letters(step)) for step in steps)
 
 
 def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
@@ -361,58 +361,42 @@ def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d - 1 - y for y in reversed(images))
 
 
-def _summit(u: BraidWord, w: BraidWord, z: BraidWord, budget: _WorkBudget):
-    """Cycle to maximal inf and decycle to minimal sup, from w = z^-1 u z.
+def _summit(d: int, key, zkey, budget: WorkBudget):
+    """Cycle to maximal inf and decycle to minimal sup, from key = nf_key of
+    z^-1 u z, zkey = nf_key of z.
 
-    Returns (w', z', key') with w' a summit element, key' = nf_key(w') and
-    conjugate(u, z') = w'.  Trajectories are followed until a repeated
-    normal form; the best element seen is kept.  Iterated cycling cannot
-    increase sup and iterated decycling cannot decrease inf, so each phase
-    ranges over a finite set.
+    Returns (key', zkey') with key' the nf_key of a summit element z'^-1 u z'
+    and zkey' = nf_key(z').  Each phase follows its trajectory until a
+    repeated normal form and keeps the best element seen.  Iterated cycling
+    cannot increase sup and iterated decycling cannot decrease inf, so each
+    phase ranges over a finite set.
     """
     budget.tick()
-    key = nf_key(w)
     improved = True
     while improved:
         improved = False
-        # cycling phase: push inf up
-        best = (w, z, key)
-        seen = {key}
-        cur, zcur, (inf, factors) = w, z, key
-        while factors:
-            head = _tau(factors[0]) if inf % 2 else factors[0]
-            step = BraidWord(u.strands, _simple_letters(head))
-            budget.tick()
-            cur = normalized(conjugate(cur, step))
-            zcur = normalized(compose(zcur, step))
-            k = nf_key(cur)
-            inf, factors = k
-            if inf > best[2][0]:
-                best = (cur, zcur, k)
-                improved = True
-            if k in seen:
-                break
-            seen.add(k)
-        w, z, key = best
-        # decycling phase: push sup down
-        best = (w, z, key)
-        seen = {key}
-        cur, zcur, (inf, factors) = w, z, key
-        while factors:
-            step = invert(BraidWord(u.strands, _simple_letters(factors[-1])))
-            budget.tick()
-            cur = normalized(conjugate(cur, step))
-            zcur = normalized(compose(zcur, step))
-            k = nf_key(cur)
-            inf, factors = k
-            if inf + len(factors) < best[2][0] + len(best[2][1]):
-                best = (cur, zcur, k)
-                improved = True
-            if k in seen:
-                break
-            seen.add(k)
-        w, z, key = best
-    return w, z, key
+        for cycling in (True, False):
+            # cycling pushes inf up, decycling pushes sup = inf + len down
+            gain = (lambda k: k[0]) if cycling else (lambda k: -k[0] - len(k[1]))
+            best, best_z = key, zkey
+            seen = {key}
+            while key[1]:
+                inf, factors = key
+                if cycling:
+                    step = _simple_letters(_tau(factors[0]) if inf % 2 else factors[0])
+                else:
+                    step = inverse_letters(_simple_letters(factors[-1]))
+                budget.tick()
+                key = nf_key_of(d, inverse_letters(step) + nf_letters(d, key) + step)
+                zkey = nf_key_of(d, nf_letters(d, zkey) + step)
+                if gain(key) > gain(best):
+                    best, best_z = key, zkey
+                    improved = True
+                if key in seen:
+                    break
+                seen.add(key)
+            key, zkey = best, best_z
+    return key, zkey
 
 
 def _better(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -420,40 +404,41 @@ def _better(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] > b[0] or (a[0] == b[0] and a[1] < b[1])
 
 
-def _super_summit_set(u: BraidWord, budget: _WorkBudget):
+def _super_summit_set(u: BraidWord, budget: WorkBudget):
     """Close the super summit set of u under permutation-braid conjugation.
 
-    Returns (states, best) where states maps normal-form keys to conjugator
-    words z with conjugate(u, z) in that class member, and best = (inf, len).
-    If any conjugation improves on the current summit values the search
-    restarts from the improved element, so the returned set sits at the true
-    summit values and is closed under all simple conjugations.
+    Returns (states, best) where states maps the nf_key of each class member
+    to the nf_key of a conjugator z with conjugate(u, z) that member, and
+    best = (inf, len).  If any conjugation improves on the current summit
+    values the search restarts from the improved element, so the returned
+    set sits at the true summit values and is closed under all simple
+    conjugations.
     """
     d = u.strands
-    simples = _simple_words(d)
-    w, z, key = _summit(u, u, identity_word(d), budget)
+    steps = _simple_steps(d)
+    key, zkey = _summit(d, nf_key(u), nf_key_of(d, ()), budget)
     while True:
         best = (key[0], len(key[1]))
-        states = {key: (z, w)}
+        states = {key: zkey}
         queue = [key]
         restart = None
         while queue and restart is None:
-            zcur, wcur = states[queue.pop(0)]
-            for step in simples:
+            wkey = queue.pop(0)
+            wcur = nf_letters(d, wkey)
+            zcur = nf_letters(d, states[wkey])
+            for step, step_inv in steps:
                 budget.tick()
-                cand = normalized(conjugate(wcur, step))
-                k = nf_key(cand)
+                k = nf_key_of(d, step_inv + wcur + step)
                 q = (k[0], len(k[1]))
                 if _better(q, best):
-                    zc = normalized(compose(zcur, step))
-                    restart = _summit(u, cand, zc, budget)
+                    restart = _summit(d, k, nf_key_of(d, zcur + step), budget)
                     break
                 if q == best and k not in states:
-                    states[k] = (normalized(compose(zcur, step)), cand)
+                    states[k] = nf_key_of(d, zcur + step)
                     queue.append(k)
         if restart is None:
             return states, best
-        w, z, key = restart
+        key, zkey = restart
 
 
 def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
@@ -474,11 +459,11 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         return ConjugacyResult("not_conjugate", reason="permutation_cycle_type")
     if equals(u, v):
         return ConjugacyResult("conjugate", witness=identity_word(u.strands))
-    wb = _WorkBudget(budget)
+    wb = WorkBudget(budget)
     try:
         states_u, best_u = _super_summit_set(u, wb)
         states_v, best_v = _super_summit_set(v, wb)
-    except _BudgetHit:
+    except SearchBudgetExceeded:
         return ConjugacyResult("unknown", reason="budget_exhausted", work=wb.used)
     if best_u != best_v:
         return ConjugacyResult(
@@ -490,9 +475,10 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
             "not_conjugate", reason="disjoint_super_summit_sets", work=wb.used
         )
     key = common[0]
-    zu, _ = states_u[key]
-    zv, _ = states_v[key]
-    witness = normalized(compose(zu, invert(zv)))
+    d = u.strands
+    zu = nf_letters(d, states_u[key])
+    zv = nf_letters(d, states_v[key])
+    witness = normalized(BraidWord(d, zu + inverse_letters(zv)))
     if not equals(conjugate(u, witness), v):
         raise AssertionError("conjugacy witness failed verification")
     return ConjugacyResult("conjugate", witness=witness, work=wb.used)
@@ -503,9 +489,8 @@ def summit_key(w: BraidWord, budget: int):
     or None if the budget is exhausted before the set is closed."""
     if budget <= 0:
         raise ValueError("budget must be positive")
-    wb = _WorkBudget(budget)
     try:
-        states, _ = _super_summit_set(w, wb)
-    except _BudgetHit:
+        states, _ = _super_summit_set(w, WorkBudget(budget))
+    except SearchBudgetExceeded:
         return None
     return min(states.keys())

@@ -191,10 +191,11 @@ def _format_conj_key(entry) -> str:
 
 def _cmd_fingerprint(args) -> int:
     F = _load_factorization(args.file)
-    if not validate(F).product_ok:
+    try:
+        fp = fingerprint(F, conjugacy_budget=args.conj_budget)
+    except ValueError:  # the only ValueError fingerprint raises: F does not validate
         print("error: factorization does not validate", file=sys.stderr)
         return 1
-    fp = fingerprint(F, conjugacy_budget=args.conj_budget)
     pairs = [
         ("strands", fp.strands),
         ("factors", fp.factor_count),

@@ -13,22 +13,21 @@ from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
-    conjugate,
     enumerate_braids,
     equals,
     exponent_sum,
     format_word,
-    identity_word,
+    inverse_letters,
     invert,
     nf_key,
-    normalized,
+    nf_key_of,
+    nf_letters,
     parse_word,
     permutation_of,
     summit_key,
 )
 from .errors import FormatError
 from .factorization import (
-    CuspidalFactor,
     Factorization,
     conjugate_all,
     factor_words,
@@ -60,6 +59,11 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
     report = validate(F)
     if not report.product_ok:
         raise ValueError("fingerprint requires a validated factorization")
+    return _fingerprint(F, conjugacy_budget)
+
+
+def _fingerprint(F: Factorization, conjugacy_budget: int) -> Fingerprint:
+    """fingerprint of an F already known to validate."""
     words = factor_words(F)
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
@@ -113,17 +117,6 @@ class EquivalenceVerdict:
     orbit_complete: bool = False
 
 
-def _normalize_state(F: Factorization) -> Factorization:
-    """Replace factor words by their normal-form words (equal braids)."""
-    if F.is_cuspidal:
-        factors = tuple(
-            CuspidalFactor(normalized(f.rho), f.s) for f in F.factors
-        )
-    else:
-        factors = tuple(normalized(w) for w in F.factors)
-    return Factorization(F.strands, factors, F.target)
-
-
 def _max_canonical_length(F: Factorization) -> int:
     return max((len(pair[1]) for pair in canonical_key(F)), default=0)
 
@@ -131,31 +124,38 @@ def _max_canonical_length(F: Factorization) -> int:
 def _orbit(F: Factorization, nf_bound: int, max_states: int):
     """Breadth-first Hurwitz-move orbit of F: one (key, path) per new state.
 
-    F itself comes first with the empty path; moves are tried in ascending
-    index order, "left" before "right".  A state with a factor of canonical
-    length above nf_bound is skipped.  The search stops after max_states
-    states, so the orbit is complete only if fewer were yielded.
+    A state is its canonical key, one nf_key per factor braid; the moves at
+    i replace the factors (a, b) by (b, b^-1 a b) ("left") or (a b a^-1, a)
+    ("right"), the braids hurwitz_move gives.  F itself comes first with the
+    empty path; moves are tried in ascending index order, "left" before
+    "right".  A state with a factor of canonical length above nf_bound is
+    skipped.  The search stops after max_states states, so the orbit is
+    complete only if fewer were yielded.
     """
-    start = _normalize_state(F)
-    start_key = canonical_key(start)
-    seen = {start_key}
-    yield start_key, ()
+    d = F.strands
+    start = canonical_key(F)
+    seen = {start}
+    yield start, ()
     frontier = [(start, ())]
     while frontier:
         next_frontier = []
         for state, path in frontier:
-            for i in range(1, state.r):
+            for i in range(1, len(state)):
+                a, b = nf_letters(d, state[i - 1]), nf_letters(d, state[i])
                 for direction in ("left", "right"):
                     if len(seen) >= max_states:
                         return
-                    child = _normalize_state(hurwitz_move(state, i, direction))
-                    key = canonical_key(child)
+                    if direction == "left":
+                        moved = (state[i], nf_key_of(d, inverse_letters(b) + a + b))
+                    else:
+                        moved = (nf_key_of(d, a + b + inverse_letters(a)), state[i - 1])
+                    key = state[: i - 1] + moved + state[i + 1 :]
                     if key in seen or any(len(pair[1]) > nf_bound for pair in key):
                         continue
                     seen.add(key)
                     child_path = path + ((i, direction),)
                     yield key, child_path
-                    next_frontier.append((child, child_path))
+                    next_frontier.append((key, child_path))
         frontier = next_frontier
 
 
@@ -199,8 +199,8 @@ def decide_equivalence(
     if not validate(F1).product_ok or not validate(F2).product_ok:
         raise ValueError("both factorizations must validate")
 
-    fp1 = fingerprint(F1)
-    fp2 = fingerprint(F2)
+    fp1 = _fingerprint(F1, 0)
+    fp2 = _fingerprint(F2, 0)
     for field, v1, v2 in _fingerprint_fields(fp1, fp2):
         if v1 != v2:
             return EquivalenceVerdict(

@@ -1,4 +1,4 @@
-"""Shared error types."""
+"""Shared error types, and the work counter that raises SearchBudgetExceeded."""
 
 from __future__ import annotations
 
@@ -16,3 +16,16 @@ class SearchBudgetExceeded(RuntimeError):
     def __init__(self, nodes: int):
         super().__init__(f"search budget exceeded after {nodes} nodes")
         self.nodes = nodes
+
+
+class WorkBudget:
+    """Counts units of search work; the first unit past limit raises."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def tick(self) -> None:
+        self.used += 1
+        if self.used > self.limit:
+            raise SearchBudgetExceeded(self.used)

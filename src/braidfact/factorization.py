@@ -21,13 +21,15 @@ from .braid import (
     format_word,
     full_twist,
     identity_word,
+    inverse_letters,
     invert,
     nf_key,
-    normalized,
+    nf_key_of,
+    nf_letters,
     parse_word,
     permutation_of,
 )
-from .errors import FormatError, SearchBudgetExceeded
+from .errors import FormatError, WorkBudget
 
 VALID_S = (1, 2, 3)
 
@@ -192,17 +194,6 @@ def profile_exponent_ok(d: int, profile) -> bool:
     return sum(profile) == d * (d - 1)
 
 
-class _NodeBudget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise SearchBudgetExceeded(self.used)
-
-
 def search_factorization(
     d: int,
     profile,
@@ -234,13 +225,14 @@ def search_factorization(
     if not profile:
         return Factorization(d, (), target)
 
-    budget = _NodeBudget(max_nodes)
+    budget = WorkBudget(max_nodes)
     cands = enumerate_braids(d, max_conjugator_length)
     assert cands[0].letters == ()
-    target_exp = d * (d - 1)
+    target_letters = target.letters
 
-    # factor words and normal-form data per s value, computed on demand
-    words_by_s: dict[int, list[BraidWord]] = {}
+    # The DFS holds each braid as its nf_key; a product is formed from the
+    # normal-form letters.  Factor letters and data per s value, on demand.
+    words_by_s: dict[int, list[tuple[int, ...]]] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}  # s -> (min inf, max sup)
     table_by_s: dict[int, dict] = {}  # s -> nf key -> least candidate index
 
@@ -252,9 +244,8 @@ def search_factorization(
         min_inf, max_sup = None, None
         for idx, rho in enumerate(cands):
             budget.tick()
-            w = normalized(factor_word(CuspidalFactor(rho, s)))
-            words.append(w)
-            key = nf_key(w)
+            key = nf_key(factor_word(CuspidalFactor(rho, s)))
+            words.append(nf_letters(d, key))
             table.setdefault(key, idx)
             inf, sup = key[0], key[0] + len(key[1])
             min_inf = inf if min_inf is None else min(min_inf, inf)
@@ -263,7 +254,8 @@ def search_factorization(
         stats_by_s[s] = (min_inf, max_sup)
         table_by_s[s] = table
 
-    def feasible(rest_word: BraidWord, remaining: tuple[int, ...]) -> bool:
+    def feasible(rest, remaining: tuple[int, ...]) -> bool:
+        rest_word = BraidWord(d, nf_letters(d, rest))
         if exponent_sum(rest_word) != sum(remaining):
             return False
         perm = permutation_of(rest_word)
@@ -274,7 +266,7 @@ def search_factorization(
         odd = sum(1 for s in remaining if s % 2)
         if odd < t_needed or (odd - t_needed) % 2:
             return False
-        inf, factors = nf_key(rest_word)
+        inf, factors = rest
         lo = sum(stats_by_s[s][0] for s in remaining)
         hi = sum(stats_by_s[s][1] for s in remaining)
         return lo <= inf and inf + len(factors) <= hi
@@ -286,31 +278,31 @@ def search_factorization(
         dead: set = set()
         choice: list[int] = []
 
-        def rec(j: int, prefix: BraidWord) -> bool:
+        def rec(j: int, prefix) -> bool:
             budget.tick()
-            rest = normalized(compose(invert(prefix), target))
-            key = (j, nf_key(rest))
+            letters = nf_letters(d, prefix)
+            rest = nf_key_of(d, inverse_letters(letters) + target_letters)
+            key = (j, rest)
             if key in dead:
                 return False
             if not feasible(rest, seq[j:]):
                 dead.add(key)
                 return False
             if j == r - 1:
-                idx = table_by_s[seq[j]].get(key[1])
+                idx = table_by_s[seq[j]].get(rest)
                 if idx is None:
                     dead.add(key)
                     return False
                 choice.append(idx)
                 return True
-            for idx in range(len(cands)):
-                w = words_by_s[seq[j]][idx]
-                if rec(j + 1, normalized(compose(prefix, w))):
+            for idx, w in enumerate(words_by_s[seq[j]]):
+                if rec(j + 1, nf_key_of(d, letters + w)):
                     choice.append(idx)
                     return True
             dead.add(key)
             return False
 
-        if rec(0, identity_word(d)):
+        if rec(0, nf_key_of(d, ())):
             choice.reverse()
             factors = tuple(
                 CuspidalFactor(cands[idx], s) for idx, s in zip(choice, seq)

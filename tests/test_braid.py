@@ -235,6 +235,7 @@ def test_conjugacy_disjoint_summit_sets():
     # the same pair under a starvation budget is inconclusive, not wrong
     res = conjugacy_test(u, v, 1)
     assert res.outcome == "unknown"
+    assert res.work == 2  # the unit past the limit is counted
 
 
 def test_conjugacy_random_witnesses_verify():

@@ -2,7 +2,10 @@
 
 import pytest
 
+import braidfact.cli as cli
+import braidfact.equivalence as equivalence
 from braidfact.cli import main
+from braidfact.factorization import validate
 
 CONIC_FACT = "strands 2\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
 CUBIC_FACT = (
@@ -122,6 +125,24 @@ def test_fingerprint_fields(capsys, cubic_file):
     code, out, _ = run(capsys, "fingerprint", cubic_file, "--conj-budget", "2000")
     # keys are kernel tuples (0-based images), written 1-based
     assert out.splitlines()[-1] == "conj_keys=0:1.3.2;0:1.3.2;0:1.3.2;0:1.3.2-1.3.2-1.3.2"
+
+
+def test_fingerprint_validates_once(capsys, monkeypatch, cubic_file, tmp_path):
+    calls = []
+
+    def counting_validate(F):
+        calls.append(F)
+        return validate(F)
+
+    for module in (cli, equivalence):
+        monkeypatch.setattr(module, "validate", counting_validate)
+    assert run(capsys, "fingerprint", cubic_file)[0] == 0
+    assert len(calls) == 1
+    bad = tmp_path / "bad.fact"
+    bad.write_text("strands 2\ntarget full_twist\nfactor s=1 rho=\n")
+    code, out, err = run(capsys, "fingerprint", str(bad))
+    assert (code, out) == (1, "")
+    assert err == "error: factorization does not validate\n"
 
 
 def test_decide_verdicts(capsys, cubic_file, conic_file, tmp_path):

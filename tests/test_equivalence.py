@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import braidfact.equivalence as equivalence
 from braidfact.braid import BraidWord, equals, full_twist, identity_word
 from braidfact.equivalence import (
     EquivalenceVerdict,
@@ -23,7 +24,9 @@ from braidfact.factorization import (
     conjugate_all,
     factor_words,
     hurwitz_move,
+    parse_factorization,
     search_factorization,
+    validate,
 )
 
 
@@ -87,6 +90,55 @@ def test_orbit_caps_states_exactly():
     for m in (2, 5):
         keys, complete = explore_orbit(CUBIC, max_states=m)
         assert len(keys) <= m and complete is False
+
+
+def reference_orbit(F, nf_bound, max_states):
+    """Breadth-first orbit over Factorization values: hurwitz_move on every
+    state, ascending index, "left" before "right", capped at max_states."""
+    seen = {canonical_key(F)}
+    frontier = [F]
+    while frontier and len(seen) < max_states:
+        next_frontier = []
+        for state in frontier:
+            for i in range(1, state.r):
+                for direction in ("left", "right"):
+                    child = hurwitz_move(state, i, direction)
+                    key = canonical_key(child)
+                    if len(seen) >= max_states or key in seen:
+                        continue
+                    if any(len(pair[1]) > nf_bound for pair in key):
+                        continue
+                    seen.add(key)
+                    next_frontier.append(child)
+        frontier = next_frontier
+    return frozenset(seen), len(seen) < max_states
+
+
+def test_orbit_matches_reference_search():
+    generic = parse_factorization(
+        "strands 3\ntarget full_twist\n"
+        "factor word=1\nfactor word=2 1 -2\nfactor word=-2 1 2\nfactor word=1 1 1\n"
+    )
+    # capped at 5 and 200 under the default bound (6); complete under bound 4
+    cases = [(CUBIC, 5, None), (CUBIC, 200, None), (CUBIC, 200, 4), (generic, 200, None)]
+    for F, cap, nf_bound in cases:
+        bound = nf_bound or 2 * max(len(pair[1]) for pair in canonical_key(F))
+        want = reference_orbit(F, bound, cap)
+        assert explore_orbit(F, cap, nf_bound) == want, (F, cap, nf_bound)
+    assert reference_orbit(CUBIC, 4, 200) == (explore_orbit(CUBIC, 2000, 4)[0], True)
+
+
+def test_decide_validates_each_input_once(monkeypatch):
+    calls = []
+
+    def counting_validate(F):
+        calls.append(F)
+        return validate(F)
+
+    monkeypatch.setattr(equivalence, "validate", counting_validate)
+    F2 = hurwitz_move(CUBIC, 1, "left")
+    assert decide_equivalence(CUBIC, F2).outcome == "equivalent"
+    assert len(calls) == 2
 
 
 def test_orbit_budget_checks():

@@ -225,8 +225,9 @@ def test_search_empty_profile_rejected_unless_trivial():
 
 
 def test_search_budget_exhaustion_raises():
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as exc:
         search_factorization(3, (3, 1, 1, 1), 4, max_nodes=3)
+    assert exc.value.nodes == 4  # the node past the limit is counted
 
 
 def test_search_input_checks():
