@@ -13,9 +13,10 @@ Conventions used throughout the package:
 * A braid's normal form is held as the kernel's pair (inf, factors), each
   factor the 0-based image tuple of a permutation braid (nf_key).  The
   search loops here and in factorization and equivalence hold braids as
-  these pairs: a product is formed from the pairs' letters (nf_letters,
-  inverse_letters) and normalized once (nf_key_of).  Words appear only at
-  input and output.
+  these pairs and form products and inverses only with nf_mul and nf_inv:
+  an inverse is exact and needs no kernel call, and a product moves the
+  half-twist powers to the front, so only positive factor letters reach
+  the kernel.  Words appear only at input and output.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class Permutation:
     @staticmethod
     def identity(d: int) -> Permutation:
         return Permutation(tuple(range(1, d + 1)))
-
-    @staticmethod
-    def transposition(d: int, i: int, j: int) -> Permutation:
-        if not (1 <= i <= d and 1 <= j <= d) or i == j:
-            raise ValueError(f"bad transposition ({i} {j}) for size {d}")
-        images = list(range(1, d + 1))
-        images[i - 1], images[j - 1] = j, i
-        return Permutation(tuple(images))
 
     @property
     def size(self) -> int:
@@ -152,6 +145,7 @@ def permutation_braid_letters(p: Permutation) -> tuple[int, ...]:
     return _simple_letters(p.images)
 
 
+@lru_cache(maxsize=1 << 16)
 def _simple_letters(images: tuple[int, ...]) -> tuple[int, ...]:
     """Positive word for the permutation braid with these images.
 
@@ -183,12 +177,8 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     return BraidWord(u.strands, u.letters + v.letters)
 
 
-def inverse_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-k for k in reversed(letters))
-
-
 def invert(u: BraidWord) -> BraidWord:
-    return BraidWord(u.strands, inverse_letters(u.letters))
+    return BraidWord(u.strands, tuple(-k for k in reversed(u.letters)))
 
 
 def conjugate(u: BraidWord, z: BraidWord) -> BraidWord:
@@ -233,22 +223,52 @@ def nf_key(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _cached_nf(w.strands, w.letters)
 
 
-def nf_key_of(d: int, letters: tuple[int, ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """nf_key of the word with these letters in B_d, which are not checked."""
-    return _cached_nf(d, letters)
+def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugation of a permutation braid (0-based images) by the half twist."""
+    d = len(images)
+    return tuple(d - 1 - y for y in reversed(images))
+
+
+def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """nf_key of the inverse of the braid with normal-form key (inf, factors).
+
+    (D^p A_1 ... A_k)^-1 = D^(-p-k) tau^(p+k)(dA_k) ... tau^(p+1)(dA_1) with
+    dA = A^-1 D.  The right side is already a left normal form (El-Rifai and
+    Morton 1994), so no kernel call is made.
+    """
+    inf, factors = key
+    k = len(factors)
+    out = []
+    for n, images in enumerate(reversed(factors)):
+        inv = sorted(range(d), key=images.__getitem__)  # images of A^-1
+        # dA has images d-1-inv[y]; tau(dA) permutes as D A^-1: inv reversed
+        out.append(tuple(inv[::-1]) if (inf + k - n) % 2 else tuple(d - 1 - x for x in inv))
+    return -inf - k, tuple(out)
+
+
+def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """nf_key of the product of the braids with these keys, left to right.
+
+    Every half-twist power moves to the front, and a factor passing D^n
+    becomes tau^n of itself; then only positive letters go through the
+    kernel, once.  nf_mul(d) is the identity (0, ()).
+    """
+    total = right = sum(key[0] for key in keys)
+    letters: list[int] = []
+    for inf, factors in keys:
+        right -= inf
+        for images in factors:
+            letters.extend(_simple_letters(_tau(images) if right % 2 else images))
+    inf, factors = _cached_nf(d, tuple(letters))
+    return inf + total, factors
 
 
 def nf_letters(d: int, key) -> tuple[int, ...]:
     """Letters of the word D^inf A_1 ... A_k of the normal-form key (inf, factors)."""
     inf, factors = key
-    half = half_twist(d).letters
-    if inf >= 0:
-        letters = list(half) * inf
-    else:
-        letters = list(inverse_letters(half)) * (-inf)
-    for images in factors:
-        letters.extend(_simple_letters(images))
-    return tuple(letters)
+    half = half_twist(d)
+    power = half.letters * inf if inf >= 0 else invert(half).letters * -inf
+    return power + tuple(k for images in factors for k in _simple_letters(images))
 
 
 def canonical_form(w: BraidWord) -> CanonicalForm:
@@ -347,18 +367,12 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
 
 
 @lru_cache(maxsize=64)
-def _simple_steps(d: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(letters, inverse letters) of every non-identity permutation braid,
+def _simple_steps(d: int) -> tuple[tuple[tuple, tuple], ...]:
+    """(nf_key, inverse nf_key) of every non-identity permutation braid,
     in a fixed order."""
     identity = tuple(range(d))
-    steps = [_simple_letters(p) for p in itertools.permutations(identity) if p != identity]
-    return tuple((step, inverse_letters(step)) for step in steps)
-
-
-def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugation of a permutation braid (0-based images) by the half twist."""
-    d = len(images)
-    return tuple(d - 1 - y for y in reversed(images))
+    steps = [nf_mul(d, (0, (p,))) for p in itertools.permutations(identity) if p != identity]
+    return tuple((step, nf_inv(d, step)) for step in steps)
 
 
 def _summit(d: int, key, zkey, budget: WorkBudget):
@@ -382,13 +396,15 @@ def _summit(d: int, key, zkey, budget: WorkBudget):
             seen = {key}
             while key[1]:
                 inf, factors = key
-                if cycling:
-                    step = _simple_letters(_tau(factors[0]) if inf % 2 else factors[0])
-                else:
-                    step = inverse_letters(_simple_letters(factors[-1]))
                 budget.tick()
-                key = nf_key_of(d, inverse_letters(step) + nf_letters(d, key) + step)
-                zkey = nf_key_of(d, nf_letters(d, zkey) + step)
+                a = factors[0] if cycling else factors[-1]
+                step = _tau(a) if inf % 2 else a
+                if cycling:  # conjugate by step: D^inf A_2 ... A_k step
+                    key = nf_mul(d, (inf, factors[1:] + (step,)))
+                    zkey = nf_mul(d, zkey, (0, (step,)))
+                else:  # conjugate by A_k^-1: D^inf step A_1 ... A_k-1
+                    key = nf_mul(d, (inf, (step,) + factors[:-1]))
+                    zkey = nf_mul(d, zkey, nf_inv(d, (0, (a,))))
                 if gain(key) > gain(best):
                     best, best_z = key, zkey
                     improved = True
@@ -399,42 +415,37 @@ def _summit(d: int, key, zkey, budget: WorkBudget):
     return key, zkey
 
 
-def _better(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Summit preference: higher inf, then shorter canonical length."""
-    return a[0] > b[0] or (a[0] == b[0] and a[1] < b[1])
-
-
 def _super_summit_set(u: BraidWord, budget: WorkBudget):
     """Close the super summit set of u under permutation-braid conjugation.
 
     Returns (states, best) where states maps the nf_key of each class member
     to the nf_key of a conjugator z with conjugate(u, z) that member, and
-    best = (inf, len).  If any conjugation improves on the current summit
+    best = (inf, -len), larger for a better summit (higher inf, then shorter
+    canonical length).  If any conjugation improves on the current summit
     values the search restarts from the improved element, so the returned
     set sits at the true summit values and is closed under all simple
     conjugations.
     """
     d = u.strands
     steps = _simple_steps(d)
-    key, zkey = _summit(d, nf_key(u), nf_key_of(d, ()), budget)
+    key, zkey = _summit(d, nf_key(u), (0, ()), budget)
     while True:
-        best = (key[0], len(key[1]))
+        best = (key[0], -len(key[1]))
         states = {key: zkey}
         queue = [key]
         restart = None
         while queue and restart is None:
             wkey = queue.pop(0)
-            wcur = nf_letters(d, wkey)
-            zcur = nf_letters(d, states[wkey])
+            zcur = states[wkey]
             for step, step_inv in steps:
                 budget.tick()
-                k = nf_key_of(d, step_inv + wcur + step)
-                q = (k[0], len(k[1]))
-                if _better(q, best):
-                    restart = _summit(d, k, nf_key_of(d, zcur + step), budget)
+                k = nf_mul(d, step_inv, wkey, step)
+                q = (k[0], -len(k[1]))
+                if q > best:
+                    restart = _summit(d, k, nf_mul(d, zcur, step), budget)
                     break
                 if q == best and k not in states:
-                    states[k] = nf_key_of(d, zcur + step)
+                    states[k] = nf_mul(d, zcur, step)
                     queue.append(k)
         if restart is None:
             return states, best
@@ -476,9 +487,8 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         )
     key = common[0]
     d = u.strands
-    zu = nf_letters(d, states_u[key])
-    zv = nf_letters(d, states_v[key])
-    witness = normalized(BraidWord(d, zu + inverse_letters(zv)))
+    zkey = nf_mul(d, states_u[key], nf_inv(d, states_v[key]))
+    witness = BraidWord(d, nf_letters(d, zkey))
     if not equals(conjugate(u, witness), v):
         raise AssertionError("conjugacy witness failed verification")
     return ConjugacyResult("conjugate", witness=witness, work=wb.used)

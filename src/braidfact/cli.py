@@ -255,7 +255,11 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    n = group_order(_load_presentation(args.file), budget=args.budget)
+    P = _load_presentation(args.file)
+    try:
+        n = group_order(P, budget=args.budget)
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
     if n is None:
         _emit(args, [("order", "unknown")], "order=unknown")
         return 2

@@ -17,11 +17,9 @@ from .braid import (
     equals,
     exponent_sum,
     format_word,
-    inverse_letters,
-    invert,
+    nf_inv,
     nf_key,
-    nf_key_of,
-    nf_letters,
+    nf_mul,
     parse_word,
     permutation_of,
     summit_key,
@@ -117,8 +115,11 @@ class EquivalenceVerdict:
     orbit_complete: bool = False
 
 
-def _max_canonical_length(F: Factorization) -> int:
-    return max((len(pair[1]) for pair in canonical_key(F)), default=0)
+def _nf_bound(bound: int | None, *Fs: Factorization) -> int:
+    """bound, or by default 2 * (largest factor canonical length, min 1)."""
+    if bound is not None:
+        return bound
+    return 2 * max([len(pair[1]) for F in Fs for pair in canonical_key(F)] + [1])
 
 
 def _orbit(F: Factorization, nf_bound: int, max_states: int):
@@ -141,14 +142,14 @@ def _orbit(F: Factorization, nf_bound: int, max_states: int):
         next_frontier = []
         for state, path in frontier:
             for i in range(1, len(state)):
-                a, b = nf_letters(d, state[i - 1]), nf_letters(d, state[i])
+                a, b = state[i - 1], state[i]
                 for direction in ("left", "right"):
                     if len(seen) >= max_states:
                         return
                     if direction == "left":
-                        moved = (state[i], nf_key_of(d, inverse_letters(b) + a + b))
+                        moved = (b, nf_mul(d, nf_inv(d, b), a, b))
                     else:
-                        moved = (nf_key_of(d, a + b + inverse_letters(a)), state[i - 1])
+                        moved = (nf_mul(d, a, b, nf_inv(d, a)), a)
                     key = state[: i - 1] + moved + state[i + 1 :]
                     if key in seen or any(len(pair[1]) > nf_bound for pair in key):
                         continue
@@ -207,16 +208,17 @@ def decide_equivalence(
                 "distinguished", field=field, values=(str(v1), str(v2))
             )
 
-    nf_bound = budget.max_factor_nf_length
-    if nf_bound is None:
-        nf_bound = 2 * max(_max_canonical_length(F1), _max_canonical_length(F2), 1)
-
-    # match targets: state G hits when G equals conjugate_all(F2, z^-1)
+    # match targets: state G hits when G equals conjugate_all(F2, z^-1),
+    # whose factors are z f z^-1 for the factors f of F2
+    d = F1.strands
+    f2 = canonical_key(F2)
     targets: dict[tuple, BraidWord] = {}
-    for z in enumerate_braids(F1.strands, budget.conjugator_length_bound):
-        targets.setdefault(canonical_key(conjugate_all(F2, invert(z))), z)
+    for z in enumerate_braids(d, budget.conjugator_length_bound):
+        zkey = nf_key(z)
+        targets.setdefault(tuple(nf_mul(d, zkey, f, nf_inv(d, zkey)) for f in f2), z)
 
     states = 0
+    nf_bound = _nf_bound(budget.max_factor_nf_length, F1, F2)
     for key, path in _orbit(F1, nf_bound, budget.max_states):
         states += 1
         z = targets.get(key)
@@ -239,9 +241,7 @@ def explore_orbit(
     of F, and whether they are the whole bounded orbit."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
-    nf_bound = max_factor_nf_length
-    if nf_bound is None:
-        nf_bound = 2 * max(_max_canonical_length(F), 1)
+    nf_bound = _nf_bound(max_factor_nf_length, F)
     keys = frozenset(key for key, _ in _orbit(F, nf_bound, max_states))
     return keys, len(keys) < max_states
 

@@ -13,21 +13,19 @@ from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
+    Permutation,
     compose,
     conjugate,
     enumerate_braids,
     equals,
-    exponent_sum,
     format_word,
     full_twist,
     identity_word,
-    inverse_letters,
     invert,
+    nf_inv,
     nf_key,
-    nf_key_of,
-    nf_letters,
+    nf_mul,
     parse_word,
-    permutation_of,
 )
 from .errors import FormatError, WorkBudget
 
@@ -228,60 +226,48 @@ def search_factorization(
     budget = WorkBudget(max_nodes)
     cands = enumerate_braids(d, max_conjugator_length)
     assert cands[0].letters == ()
-    target_letters = target.letters
 
-    # The DFS holds each braid as its nf_key; a product is formed from the
-    # normal-form letters.  Factor letters and data per s value, on demand.
-    words_by_s: dict[int, list[tuple[int, ...]]] = {}
-    stats_by_s: dict[int, tuple[int, int]] = {}  # s -> (min inf, max sup)
-    table_by_s: dict[int, dict] = {}  # s -> nf key -> least candidate index
-
-    def prepare(s: int) -> None:
-        if s in words_by_s:
-            return
-        words = []
-        table = {}
-        min_inf, max_sup = None, None
-        for idx, rho in enumerate(cands):
+    # The DFS holds each braid as its nf_key.  Per s value: the factor key
+    # of each candidate, the least candidate index of each key, and the
+    # (min inf, max sup) of the keys.
+    keys_by_s: dict[int, list] = {}
+    table_by_s: dict[int, dict] = {}
+    stats_by_s: dict[int, tuple[int, int]] = {}
+    for s in set(profile):
+        keys = []
+        for rho in cands:
             budget.tick()
-            key = nf_key(factor_word(CuspidalFactor(rho, s)))
-            words.append(nf_letters(d, key))
-            table.setdefault(key, idx)
-            inf, sup = key[0], key[0] + len(key[1])
-            min_inf = inf if min_inf is None else min(min_inf, inf)
-            max_sup = sup if max_sup is None else max(max_sup, sup)
-        words_by_s[s] = words
-        stats_by_s[s] = (min_inf, max_sup)
-        table_by_s[s] = table
+            keys.append(nf_key(factor_word(CuspidalFactor(rho, s))))
+        keys_by_s[s] = keys
+        # going backwards, the least index of a repeated key is written last
+        table_by_s[s] = {key: idx for idx, key in reversed(list(enumerate(keys)))}
+        stats_by_s[s] = (min(k[0] for k in keys), max(k[0] + len(k[1]) for k in keys))
 
     def feasible(rest, remaining: tuple[int, ...]) -> bool:
-        rest_word = BraidWord(d, nf_letters(d, rest))
-        if exponent_sum(rest_word) != sum(remaining):
-            return False
-        perm = permutation_of(rest_word)
-        n_cycles = len(perm.cycles()) + sum(
-            1 for x in range(1, d + 1) if perm.apply(x) == x
-        )
-        t_needed = d - n_cycles
+        # permutation of D^inf A_1 ... A_k, composed left to right
+        inf, factors = rest
+        images = tuple(range(d - 1, -1, -1)) if inf % 2 else tuple(range(d))
+        for f in factors:
+            images = tuple(f[x] for x in images)
+        t_needed = d - len(Permutation(tuple(x + 1 for x in images)).cycle_type())
         odd = sum(1 for s in remaining if s % 2)
         if odd < t_needed or (odd - t_needed) % 2:
             return False
-        inf, factors = rest
         lo = sum(stats_by_s[s][0] for s in remaining)
         hi = sum(stats_by_s[s][1] for s in remaining)
         return lo <= inf and inf + len(factors) <= hi
 
     for seq in sorted(set(itertools.permutations(profile))):
-        for s in set(seq):
-            prepare(s)
         r = len(seq)
         dead: set = set()
         choice: list[int] = []
 
         def rec(j: int, prefix) -> bool:
             budget.tick()
-            letters = nf_letters(d, prefix)
-            rest = nf_key_of(d, inverse_letters(letters) + target_letters)
+            # rest = prefix^-1 D^2 = D^2 prefix^-1, as D^2 is central; the
+            # full twist is D^2 because d >= 2 (d = 1 has only the empty profile)
+            inv_inf, inv_factors = nf_inv(d, prefix)
+            rest = (inv_inf + 2, inv_factors)
             key = (j, rest)
             if key in dead:
                 return False
@@ -295,14 +281,14 @@ def search_factorization(
                     return False
                 choice.append(idx)
                 return True
-            for idx, w in enumerate(words_by_s[seq[j]]):
-                if rec(j + 1, nf_key_of(d, letters + w)):
+            for idx, key_s in enumerate(keys_by_s[seq[j]]):
+                if rec(j + 1, nf_mul(d, prefix, key_s)):
                     choice.append(idx)
                     return True
             dead.add(key)
             return False
 
-        if rec(0, nf_key_of(d, ())):
+        if rec(0, (0, ())):
             choice.reverse()
             factors = tuple(
                 CuspidalFactor(cands[idx], s) for idx, s in zip(choice, seq)

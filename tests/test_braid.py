@@ -20,6 +20,9 @@ from braidfact.braid import (
     identity_word,
     invert,
     is_positive,
+    nf_inv,
+    nf_key,
+    nf_mul,
     normalized,
     parse_word,
     permutation_braid_letters,
@@ -255,3 +258,32 @@ def test_conjugacy_input_checks():
         conjugacy_test(BraidWord(3, (1,)), BraidWord(4, (1,)), 100)
     with pytest.raises(ValueError):
         conjugacy_test(BraidWord(3, (1,)), BraidWord(3, (1,)), 0)
+
+
+def pair_algebra_words(rng, d):
+    """Empty words, half-twist powers of both signs, single permutation
+    braids and random words in B_d."""
+    half = half_twist(d)
+    words = [identity_word(d)]
+    for n in (1, 2, 3):
+        words.append(BraidWord(d, half.letters * n))
+        words.append(BraidWord(d, invert(half).letters * n))
+    for _ in range(6):
+        p = Permutation(tuple(rng.sample(range(1, d + 1), d)))
+        words.append(BraidWord(d, permutation_braid_letters(p)))
+    if d > 1:
+        words += [rand_word(rng, d, rng.randint(1, 14)) for _ in range(12)]
+    return words
+
+
+def test_nf_inv_and_nf_mul_match_word_normal_forms():
+    rng = random.Random(4242)
+    for d in range(1, 9):
+        assert nf_mul(d) == (0, ())
+        words = pair_algebra_words(rng, d)
+        for w in words:
+            assert nf_inv(d, nf_key(w)) == nf_key(invert(w)), w
+        for _ in range(60):
+            u, v, w = (rng.choice(words) for _ in range(3))
+            product = BraidWord(d, u.letters + v.letters + w.letters)
+            assert nf_mul(d, nf_key(u), nf_key(v), nf_key(w)) == nf_key(product), (u, v, w)

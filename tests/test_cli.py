@@ -1,6 +1,8 @@
 """Command-line surface: documented examples, exit codes, format modes."""
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import braidfact.cli as cli
 import braidfact.equivalence as equivalence
@@ -227,6 +229,15 @@ def test_usage_errors_exit_64(capsys):
     assert run(capsys, "eq", "3", "1", "4")[0] == 64
 
 
+def test_order_nonpositive_budget_is_usage_error(capsys, tmp_path):
+    pres = tmp_path / "trefoil.pres"
+    pres.write_text(TREFOIL_PRES)
+    for budget in ("0", "-5"):
+        code, out, err = run(capsys, "order", str(pres), "--budget", budget)
+        assert (code, out) == (64, "")
+        assert err == "usage error: budget must be positive\n"
+
+
 def test_move_bad_index_is_usage_error(capsys, cubic_file):
     assert run(capsys, "move", cubic_file, "9")[0] == 64
     assert run(capsys, "move", cubic_file, "0")[0] == 64
@@ -264,3 +275,39 @@ def test_fulltwist_nonpositive_strands_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "search", "--help")[0] == 0
+
+
+# Every integer argument, with N standing for a drawn value; FACT is the
+# cuspidal cubic and PRES a two-generator presentation.
+CONTRACT_COMMANDS = (
+    ("nf", "N", "1 2 -1"),
+    ("eq", "N", "1 2 1", "2 1 2"),
+    ("fulltwist", "N"),
+    ("move", "FACT", "N"),
+    ("fingerprint", "FACT", "--conj-budget", "N"),
+    ("decide", "FACT", "FACT", "--max-states", "N"),
+    ("decide", "FACT", "FACT", "--nf-bound", "N"),
+    ("decide", "FACT", "FACT", "--conj-bound", "N"),
+    ("pi1", "FACT", "--simplify", "N"),
+    ("homs", "PRES", "N"),
+    ("order", "PRES", "--budget", "N"),
+    ("invariants", "N"),
+)
+
+
+# The fixture files are only read, so one copy serves every example.
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(command=st.sampled_from(CONTRACT_COMMANDS), n=st.integers(-3, 5))
+@example(command=("order", "PRES", "--budget", "N"), n=0)
+def test_cli_integer_arguments_keep_exit_contract(capsys, cubic_file, tmp_path, command, n):
+    pres = tmp_path / "trefoil.pres"
+    pres.write_text(TREFOIL_PRES)
+    names = {"N": str(n), "FACT": cubic_file, "PRES": str(pres)}
+    code, _, err = run(capsys, *(names.get(arg, arg) for arg in command))
+    assert code in (0, 1, 2, 64, 65), (command, n, code)
+    assert "Traceback" not in err
