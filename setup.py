@@ -1,25 +1,18 @@
 """Build script: compiles the Garside kernel extension when possible.
 
-The package works without the extension; braidfact._kernel falls back to
-the pure-Python twin if the compiled module is absent.
+The extension is one hand-written C file.  It is optional: without a C
+compiler the install still succeeds, and braidfact._kernel falls back to
+the pure-Python twin.
 """
 
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "braidfact._kernel._garside",
-                sources=["src/braidfact/_kernel/_garside.pyx"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "braidfact._kernel._garside",
+            sources=["src/braidfact/_kernel/_garside.c"],
+            optional=True,
+        )
+    ]
+)

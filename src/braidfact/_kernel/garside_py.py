@@ -17,18 +17,26 @@ letters in reading order.  Under this convention
   - a pair (a, b) is left-weighted iff starting(b) is contained in
     finishing(a).
 
-The normalisation loop slides one crossing at a time from the front of
-a factor to the back of its left neighbour until every pair is
-left-weighted; each slide strictly increases the left factor, so the
-loop terminates, and the left-weighted pair for a fixed product is
-unique.  New factors are appended on the right and combed backwards;
-once a comb step leaves the left factor unchanged the prefix is still
-left-weighted and the comb stops.
+The kernel has two entries on one comb.  normal_form takes a signed
+letter word and expands each letter into one permutation braid, moving
+the half-twist powers to the front; normal_form_factors takes a half-twist
+power and whole permutation braids, so a product of normal forms is
+combed only where its factors do not already fit (the right
+multiplication of Epstein et al., Word Processing in Groups, ch. 9).
+
+The comb slides one crossing at a time from the front of a factor to the
+back of its left neighbour until every pair is left-weighted; each slide
+strictly increases the left factor, so the loop terminates, and the
+left-weighted pair for a fixed product is unique.  Factors are appended
+on the right and combed backwards; once a comb step leaves the left
+factor unchanged the prefix is still left-weighted and the comb stops.
 
 This module must stay behaviourally identical to the compiled twin in
-_garside.pyx; tests/test_kernel.py holds both to a brute-force
-fixpoint reference.
+_garside.c; tests/test_kernel.py holds both to a brute-force fixpoint
+reference and to each other.
 """
+
+from operator import index
 
 IMPL_NAME = "pure"
 
@@ -74,6 +82,42 @@ def _invert(p, d):
     return inv
 
 
+def _comb(d, inf, raw):
+    """Left normal form of D^inf * raw[0] * raw[1] * ..., raw a list of
+    permutation braids as mutable one-line lists (consumed in place)."""
+    identity = list(range(d))
+    w0 = identity[::-1]
+
+    # Append factors one at a time, combing backwards after each append.
+    # Appending a permutation braid to a left normal form and making the
+    # pairs left-weighted from right to left gives the left normal form of
+    # the product (the domino rule of greedy normal forms), so no second
+    # pass is needed; a factor can only be absorbed at the tail.
+    factors = []
+    inverses = []
+    for p in raw:
+        if p == identity:
+            continue
+        factors.append(p)
+        inverses.append(_invert(p, d))
+        j = len(factors) - 2
+        while j >= 0:
+            if not _fix_pair(factors[j], inverses[j], factors[j + 1], inverses[j + 1], d):
+                break
+            if factors[j + 1] == identity:
+                factors.pop(j + 1)
+                inverses.pop(j + 1)
+            j -= 1
+
+    # Leading half twists join the Delta power; a left-weighted sequence
+    # has every half twist at its front.
+    lead = 0
+    while lead < len(factors) and factors[lead] == w0:
+        lead += 1
+
+    return inf + lead, tuple(tuple(p) for p in factors[lead:])
+
+
 def normal_form(d, letters):
     """Left normal form of the braid word given by signed generator letters.
 
@@ -117,45 +161,26 @@ def normal_form(d, letters):
             raw[j] = [d - 1 - p[d - 1 - x] for x in range(d)]
         dp += dpows[j]
 
-    # Append factors one at a time, combing backwards after each append.
+    return _comb(d, dp, raw)
+
+
+def normal_form_factors(d, inf, factors):
+    """Left normal form of D^inf * F_1 * ... * F_n.
+
+    Each F_i is a permutation braid given as the one-line notation of its
+    permutation of range(d); it may be the identity or the half twist.
+    Returns (inf, factors) exactly as normal_form does.
+    """
+    if d < 1:
+        raise ValueError("strand count must be >= 1")
+    inf = index(inf)
     identity = list(range(d))
-    factors = []
-    inverses = []
-    for p in raw:
-        if p == identity:
-            continue
-        factors.append(p)
-        inverses.append(_invert(p, d))
-        j = len(factors) - 2
-        while j >= 0:
-            if not _fix_pair(factors[j], inverses[j], factors[j + 1], inverses[j + 1], d):
-                break
-            if factors[j + 1] == identity:
-                # fully absorbed; only ever happens at the tail of the list
-                factors.pop(j + 1)
-                inverses.pop(j + 1)
-            j -= 1
-
-    # Closing sweep: the comb above already yields the normal form, but a
-    # clean full pass certifies left-weightedness unconditionally and costs
-    # one scan when nothing moves.
-    dirty = True
-    while dirty:
-        dirty = False
-        j = 0
-        while j < len(factors) - 1:
-            if _fix_pair(factors[j], inverses[j], factors[j + 1], inverses[j + 1], d):
-                dirty = True
-            if factors[j + 1] == identity:
-                factors.pop(j + 1)
-                inverses.pop(j + 1)
-            else:
-                j += 1
-
-    # Leading half twists join the Delta power; trailing identities were
-    # never created (absorbed factors are dropped eagerly).
-    lead = 0
-    while lead < len(factors) and factors[lead] == w0:
-        lead += 1
-
-    return dp + lead, tuple(tuple(p) for p in factors[lead:])
+    raw = []
+    for f in factors:
+        p = list(f)
+        if sorted(p) != identity:
+            raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
+        raw.append(p)
+    if d == 1:
+        return 0, ()  # the half twist of B_1 is the identity
+    return _comb(d, inf, raw)

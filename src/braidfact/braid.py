@@ -15,8 +15,10 @@ Conventions used throughout the package:
   search loops here and in factorization and equivalence hold braids as
   these pairs and form products and inverses only with nf_mul and nf_inv:
   an inverse is exact and needs no kernel call, and a product moves the
-  half-twist powers to the front, so only positive factor letters reach
-  the kernel.  Words appear only at input and output.
+  half-twist powers to the front and hands the factors themselves to the
+  kernel's factor entry, which combs only where they do not already fit.
+  Words reach the kernel as letters, through nf_key, and appear only at
+  input and output.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._kernel import normal_form as _kernel_normal_form
+from ._kernel import normal_form_factors as _kernel_normal_form_factors
 from .errors import FormatError, SearchBudgetExceeded, WorkBudget
 
 
@@ -246,20 +249,26 @@ def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return -inf - k, tuple(out)
 
 
+@lru_cache(maxsize=1 << 17)
+def _cached_product(
+    d: int, factors: tuple[tuple[int, ...], ...]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    return _kernel_normal_form_factors(d, 0, factors)
+
+
 def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the product of the braids with these keys, left to right.
 
     Every half-twist power moves to the front, and a factor passing D^n
-    becomes tau^n of itself; then only positive letters go through the
-    kernel, once.  nf_mul(d) is the identity (0, ()).
+    becomes tau^n of itself; then the factors go through the kernel's
+    factor entry, once.  nf_mul(d) is the identity (0, ()).
     """
     total = right = sum(key[0] for key in keys)
-    letters: list[int] = []
+    product: list[tuple[int, ...]] = []
     for inf, factors in keys:
         right -= inf
-        for images in factors:
-            letters.extend(_simple_letters(_tau(images) if right % 2 else images))
-    inf, factors = _cached_nf(d, tuple(letters))
+        product.extend(map(_tau, factors) if right % 2 else factors)
+    inf, factors = _cached_product(d, tuple(product))
     return inf + total, factors
 
 

@@ -230,15 +230,13 @@ class SymmetricImage:
     epi: bool
 
 
-def _evaluate(r: FreeWord, images: list[tuple[int, ...]], n: int) -> tuple[int, ...]:
+def _evaluate(
+    r: FreeWord, images: list[tuple[int, ...]], inverses: list[tuple[int, ...]], n: int
+) -> tuple[int, ...]:
+    """The image of r, given each generator's image and its inverse."""
     cur = tuple(range(1, n + 1))
     for l in r.letters:
-        p = images[abs(l) - 1]
-        if l < 0:
-            inv = [0] * n
-            for x, y in enumerate(p, start=1):
-                inv[y - 1] = x
-            p = tuple(inv)
+        p = images[l - 1] if l > 0 else inverses[-l - 1]
         cur = tuple(p[x - 1] for x in cur)
     return cur
 
@@ -283,6 +281,7 @@ def enumerate_homs(
     if P.ngens > max_gens:
         raise ValueError(f"generator count exceeds cap {max_gens}")
     perms = sorted(itertools.permutations(range(1, n + 1)))
+    candidates = [(p, Permutation(p).inverse().images) for p in perms]
     by_last_gen: dict[int, list[FreeWord]] = {}
     for r in P.relators:
         by_last_gen.setdefault(r.max_index(), []).append(r)
@@ -292,19 +291,22 @@ def enumerate_homs(
 
     found: list[tuple[tuple[int, ...], ...]] = []
     images: list[tuple[int, ...]] = []
+    inverses: list[tuple[int, ...]] = []
 
     def assign(g: int) -> None:
         if g > P.ngens:
             found.append(tuple(images))
             return
-        for p in perms:
+        for p, p_inv in candidates:
             images.append(p)
+            inverses.append(p_inv)
             if all(
-                _evaluate(r, images, n) == perms[0]
+                _evaluate(r, images, inverses, n) == perms[0]
                 for r in by_last_gen.get(g, ())
             ):
                 assign(g + 1)
             images.pop()
+            inverses.pop()
 
     assign(1)
 
@@ -314,10 +316,7 @@ def enumerate_homs(
             continue
         if up_to_conjugacy:
             best = tup
-            for c in perms:
-                inv = [0] * n
-                for x, y in enumerate(c, start=1):
-                    inv[y - 1] = x
+            for c, inv in candidates:
                 conj = tuple(
                     tuple(c[p[inv[x - 1] - 1] - 1] for x in range(1, n + 1))
                     for p in tup

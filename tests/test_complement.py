@@ -34,6 +34,16 @@ def cuspidal(d, *pairs):
 
 CONIC = cuspidal(2, ((), 1), ((), 1))
 CUBIC = cuspidal(3, ((), 1), ((-2,), 1), ((2,), 1), ((), 3))
+# classical controls, as braidfact search finds them (factor lines rho, s)
+SMOOTH_CUBIC = cuspidal(3, ((), 1), ((), 1), ((), 1), ((), 1), ((-2,), 1), ((2,), 1))
+CONIC_LINE = cuspidal(3, ((), 1), ((), 1), ((-2,), 2), ((-2, -1), 2))
+QUARTIC_TWO_CUSP = cuspidal(
+    4,
+    ((), 1), ((), 1), ((), 1), ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((2,), 3), ((2, -1), 3),
+)
+QUARTIC_THREE_CUSP = cuspidal(
+    4, ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((), 3), ((-2,), 3), ((-2, -2), 3)
+)
 
 TREFOIL = FinitePresentation(2, (FreeWord((1, 2, 1, -2, -1, -2)),))
 S3_PRES = FinitePresentation(2, (FreeWord((1, 1)), FreeWord((2, 2)), FreeWord((1, 2) * 3)))
@@ -251,6 +261,28 @@ def test_group_order_budget_starvation_is_none_not_wrong():
 def test_pipeline_orders():
     assert group_order(zvk_presentation(CONIC)) == 2
     assert group_order(zvk_presentation(CUBIC)) == 3
+
+
+def test_smooth_cubic_group_is_cyclic_of_order_3():
+    assert group_order(zvk_presentation(SMOOTH_CUBIC)) == 3
+
+
+def test_conic_plus_line_group_is_infinite_cyclic():
+    P = zvk_presentation(CONIC_LINE)
+    Q = simplify(P)
+    assert Q.ngens == 1 and Q.relators == ()
+    assert group_order(P) is None
+
+
+def test_two_cusp_quartic_group_has_order_4():
+    assert group_order(zvk_presentation(QUARTIC_TWO_CUSP)) == 4
+
+
+def test_three_cusp_quartic_group_has_order_12():
+    # Zariski's three-cuspidal quartic: a group of order 12 on two generators
+    P = zvk_presentation(QUARTIC_THREE_CUSP)
+    assert group_order(P) == 12
+    assert simplify(P).ngens == 2
 
 
 def test_hom_counts_invariant_under_hurwitz_moves():

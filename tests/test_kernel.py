@@ -1,18 +1,48 @@
 """Normal-form kernel versus an independent fixpoint reference.
 
-Both kernel implementations (pure Python and compiled, when built) are
-checked against a naive left-weighting procedure that bubbles factors
-until no letter can move left, plus permutation-image bookkeeping.
+Both kernel implementations are checked against a naive left-weighting
+procedure that bubbles factors until no letter can move left, plus
+permutation-image bookkeeping, and against each other.  The compiled twin
+is built from this tree's _garside.c for the session, so it is tested
+wherever a C compiler and Python.h exist, installed or not.
 """
 
+import importlib.util
+import os
 import random
+import shlex
+import shutil
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from braidfact._kernel import garside_py, implementations
+from braidfact._kernel import garside_py
 
-IMPLS = implementations()
-IMPL_IDS = [impl.IMPL_NAME for impl in IMPLS]
+C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "braidfact" / "_kernel" / "_garside.c"
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled twin, built from _garside.c into a temporary directory."""
+    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    if shutil.which(shlex.split(cc)[0]) is None:
+        pytest.skip(f"no C compiler ({cc})")
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        pytest.skip("Python.h not found")
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    out = tmp_path_factory.mktemp("garside")
+    cmd = build_ext(Distribution({"ext_modules": [Extension("_garside", [str(C_SOURCE)])]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location("_garside", cmd.get_ext_fullpath("_garside"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def ref_normal_form(d, letters):
@@ -116,9 +146,39 @@ def random_word(rng, d, max_len):
     return [rng.choice([1, -1]) * rng.randint(1, d - 1) for _ in range(n)]
 
 
-@pytest.fixture(params=IMPLS, ids=IMPL_IDS)
+def positive_letters(images):
+    """Positive word of a permutation braid: the swaps of a bubble sort."""
+    v, out = list(images), []
+    for end in range(len(v) - 1, 0, -1):
+        for i in range(end):
+            if v[i] > v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                out.append(i + 1)
+    return out
+
+
+def factors_word(d, inf, factors):
+    """Letters of D^inf F_1 ... F_n."""
+    half = positive_letters(range(d - 1, -1, -1))
+    power = half * inf if inf >= 0 else [-k for k in reversed(half)] * -inf
+    return power + [k for f in factors for k in positive_letters(f)]
+
+
+def random_factors(rng, d):
+    """A factor list mixing identities, half twists, random permutation
+    braids and the factors of two normal forms set side by side."""
+    ident, w0 = tuple(range(d)), tuple(range(d - 1, -1, -1))
+    if d > 1 and rng.random() < 0.25:
+        return [f for _ in range(2) for f in ref_normal_form(d, random_word(rng, d, 12))[1]]
+    return [
+        rng.choice((ident, w0, tuple(rng.sample(range(d), d)), tuple(rng.sample(range(d), d))))
+        for _ in range(rng.randint(0, 5))
+    ]
+
+
+@pytest.fixture(params=["pure", "compiled"])
 def kernel(request):
-    return request.param
+    return garside_py if request.param == "pure" else request.getfixturevalue("compiled")
 
 
 def test_fixed_anchors(kernel):
@@ -169,12 +229,57 @@ def test_half_twist_perm():
         assert garside_py.half_twist_perm(d) == tuple(range(d - 1, -1, -1))
 
 
-@pytest.mark.skipif(len(IMPLS) < 2, reason="compiled kernel not built")
-def test_pure_compiled_parity():
-    pure, compiled = IMPLS[0], IMPLS[1]
-    assert pure.IMPL_NAME != compiled.IMPL_NAME
+@pytest.fixture(scope="module")
+def factor_cases():
+    """Seeded (d, inf, factors, reference normal form) in B_1..B_8."""
+    rng = random.Random(20261018)
+    cases = []
+    for _ in range(300):
+        d = rng.randint(1, 8)
+        factors = random_factors(rng, d)
+        inf = rng.randint(-3, 3)
+        cases.append((d, inf, factors, ref_normal_form(d, factors_word(d, inf, factors))))
+    return cases
+
+
+def test_factors_against_reference(kernel, factor_cases):
+    for d, inf, factors, expected in factor_cases:
+        got = kernel.normal_form_factors(d, inf, factors)
+        assert got == expected, (d, inf, factors)
+        assert_left_weighted(d, got[1])
+    assert kernel.normal_form_factors(4, 0, []) == (0, ())
+    assert kernel.normal_form_factors(4, -2, [(0, 1, 2, 3)]) == (-2, ())
+    assert kernel.normal_form_factors(4, -1, [(3, 2, 1, 0)] * 3) == (2, ())
+
+
+@pytest.mark.parametrize("factor", [(0, 1), (0, 1, 2, 3), (0, 0, 2), (0, 1, 3), (-1, 0, 1)])
+def test_malformed_factor_raises(kernel, factor):
+    with pytest.raises(ValueError):
+        kernel.normal_form_factors(3, 0, [(1, 0, 2), factor])
+
+
+def test_letter_out_of_range_raises(kernel):
+    for letter in (0, 3, -3, 2**70, -(2**70)):
+        with pytest.raises(ValueError):
+            kernel.normal_form(3, [1, letter])
+    with pytest.raises(ValueError):
+        kernel.normal_form(0, [])
+
+
+def test_pure_compiled_parity(compiled):
+    assert compiled.IMPL_NAME == "compiled"
     rng = random.Random(424242)
     for _ in range(500):
         d = rng.randint(2, 8)
         letters = random_word(rng, d, 60)
-        assert pure.normal_form(d, letters) == compiled.normal_form(d, letters)
+        assert garside_py.normal_form(d, letters) == compiled.normal_form(d, letters)
+
+
+def test_pure_compiled_factor_parity(compiled):
+    rng = random.Random(515151)
+    for _ in range(1000):
+        d = rng.randint(1, 8)
+        factors = random_factors(rng, d)
+        inf = rng.randint(-5, 5)
+        got = compiled.normal_form_factors(d, inf, factors)
+        assert got == garside_py.normal_form_factors(d, inf, factors), (d, inf, factors)
