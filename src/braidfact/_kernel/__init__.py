@@ -20,7 +20,6 @@ if os.environ.get("BRAIDFACT_PURE", "") not in ("1", "true", "yes"):
 IMPL_NAME = _impl.IMPL_NAME
 normal_form = _impl.normal_form
 normal_form_factors = _impl.normal_form_factors
-half_twist_perm = garside_py.half_twist_perm
 
 
 def implementations():

@@ -41,11 +41,6 @@ from operator import index
 IMPL_NAME = "pure"
 
 
-def half_twist_perm(d):
-    """One-line notation of the half twist's permutation (order reversal)."""
-    return tuple(range(d - 1, -1, -1))
-
-
 def _fix_pair(a, ai, b, bi, d):
     """Make the adjacent factor pair (a, b) left-weighted in place.
 

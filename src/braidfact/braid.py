@@ -365,13 +365,18 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     alphabet = tuple(sorted(k for k in range(-(d - 1), d) if k != 0))
     seen = set()
     out = []
-    for n in range(max_len + 1):
-        for letters in itertools.product(alphabet, repeat=n):
+    # a braid's first word extends its prefix's first word: grow only new words
+    layer: list[tuple[int, ...]] = [()]
+    for _ in range(max_len + 1):
+        grown = []
+        for letters in layer:
             w = BraidWord(d, letters)
             key = nf_key(w)
             if key not in seen:
                 seen.add(key)
                 out.append(w)
+                grown.extend(letters + (x,) for x in alphabet)
+        layer = grown
     return tuple(out)
 
 

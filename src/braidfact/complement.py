@@ -11,6 +11,7 @@ orders by coset enumeration.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -241,7 +242,7 @@ def _evaluate(
     return cur
 
 
-def _generates_full(images: list[tuple[int, ...]], n: int) -> bool:
+def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
     identity = tuple(range(1, n + 1))
     gens = [p for p in images if p != identity]
     seen = {identity}
@@ -255,8 +256,6 @@ def _generates_full(images: list[tuple[int, ...]], n: int) -> bool:
                     seen.add(qp)
                     nxt.append(qp)
         frontier = nxt
-    import math
-
     return len(seen) == math.factorial(n)
 
 
@@ -312,7 +311,7 @@ def enumerate_homs(
 
     out = []
     for tup in found:
-        if epi_only and not _generates_full(list(tup), n):
+        if epi_only and not _generates_full(tup, n):
             continue
         if up_to_conjugacy:
             best = tup
@@ -329,7 +328,8 @@ def enumerate_homs(
             SymmetricImage(
                 n,
                 tuple(Permutation(p) for p in tup),
-                _generates_full(list(tup), n),
+                # a kept tuple under epi_only already passed the test
+                epi_only or _generates_full(tup, n),
             )
         )
     return out

@@ -8,7 +8,6 @@ together with a target braid that the factor product must equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .braid import (
@@ -192,6 +191,15 @@ def profile_exponent_ok(d: int, profile) -> bool:
     return sum(profile) == d * (d - 1)
 
 
+def _orderings(profile: tuple[int, ...]):
+    """The distinct orderings of a sorted profile, lexicographically ascending."""
+    if not profile:
+        yield ()
+    for s in sorted(set(profile)):
+        i = profile.index(s)
+        yield from ((s,) + tail for tail in _orderings(profile[:i] + profile[i + 1 :]))
+
+
 def search_factorization(
     d: int,
     profile,
@@ -206,6 +214,8 @@ def search_factorization(
     (shortest word, then smallest letter sequence).  The witness returned
     is the least one under the documented order: s-sequences ascending
     lexicographically, then conjugator candidate indices slot by slot.
+    A node holds only the braid that the later slots must multiply to, and
+    each slot tries each distinct factor braid once, by least candidate index.
     Raises SearchBudgetExceeded when max_nodes runs out, which is distinct
     from returning None (nothing within bounds).
     """
@@ -227,21 +237,20 @@ def search_factorization(
     cands = enumerate_braids(d, max_conjugator_length)
     assert cands[0].letters == ()
 
-    # The DFS holds each braid as its nf_key.  Per s value: the factor key
-    # of each candidate, the least candidate index of each key, and the
-    # (min inf, max sup) of the keys.
-    keys_by_s: dict[int, list] = {}
-    table_by_s: dict[int, dict] = {}
+    # The DFS holds each braid as its nf_key.  Per s value: the least
+    # candidate index of each distinct factor key, the (index, inverse key)
+    # steps in that order, and the (min inf, max sup) of the keys.
+    index_by_s: dict[int, dict] = {}
+    steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
     for s in set(profile):
-        keys = []
-        for rho in cands:
+        index: dict = {}
+        for idx, rho in enumerate(cands):
             budget.tick()
-            keys.append(nf_key(factor_word(CuspidalFactor(rho, s))))
-        keys_by_s[s] = keys
-        # going backwards, the least index of a repeated key is written last
-        table_by_s[s] = {key: idx for idx, key in reversed(list(enumerate(keys)))}
-        stats_by_s[s] = (min(k[0] for k in keys), max(k[0] + len(k[1]) for k in keys))
+            index.setdefault(nf_key(factor_word(CuspidalFactor(rho, s))), idx)
+        index_by_s[s] = index
+        steps_by_s[s] = [(idx, nf_inv(d, key)) for key, idx in index.items()]
+        stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
 
     def feasible(rest, remaining: tuple[int, ...]) -> bool:
         # permutation of D^inf A_1 ... A_k, composed left to right
@@ -257,45 +266,32 @@ def search_factorization(
         hi = sum(stats_by_s[s][1] for s in remaining)
         return lo <= inf and inf + len(factors) <= hi
 
-    for seq in sorted(set(itertools.permutations(profile))):
-        r = len(seq)
+    for seq in _orderings(profile):
         dead: set = set()
-        choice: list[int] = []
 
-        def rec(j: int, prefix) -> bool:
+        def rec(j: int, rest) -> tuple[int, ...] | None:
+            # candidate indices for slots j.. whose factors multiply to rest
             budget.tick()
-            # rest = prefix^-1 D^2 = D^2 prefix^-1, as D^2 is central; the
-            # full twist is D^2 because d >= 2 (d = 1 has only the empty profile)
-            inv_inf, inv_factors = nf_inv(d, prefix)
-            rest = (inv_inf + 2, inv_factors)
-            key = (j, rest)
-            if key in dead:
-                return False
-            if not feasible(rest, seq[j:]):
-                dead.add(key)
-                return False
-            if j == r - 1:
-                idx = table_by_s[seq[j]].get(rest)
-                if idx is None:
-                    dead.add(key)
-                    return False
-                choice.append(idx)
-                return True
-            for idx, key_s in enumerate(keys_by_s[seq[j]]):
-                if rec(j + 1, nf_mul(d, prefix, key_s)):
-                    choice.append(idx)
-                    return True
-            dead.add(key)
-            return False
+            state = (j, rest)
+            if state not in dead and feasible(rest, seq[j:]):
+                if j == len(seq) - 1:
+                    idx = index_by_s[seq[j]].get(rest)
+                    if idx is not None:
+                        return (idx,)
+                else:
+                    for idx, key_inv in steps_by_s[seq[j]]:
+                        tail = rec(j + 1, nf_mul(d, key_inv, rest))
+                        if tail is not None:
+                            return (idx,) + tail
+            dead.add(state)
+            return None
 
-        if rec(0, (0, ())):
-            choice.reverse()
-            factors = tuple(
-                CuspidalFactor(cands[idx], s) for idx, s in zip(choice, seq)
-            )
+        # the full twist is D^2, as d >= 2 (d = 1 has only the empty profile)
+        choice = rec(0, (2, ()))
+        if choice is not None:
+            factors = tuple(CuspidalFactor(cands[idx], s) for idx, s in zip(choice, seq))
             F = Factorization(d, factors, target)
-            report = validate(F)
-            if not report.product_ok:
+            if not validate(F).product_ok:
                 raise AssertionError("search produced an invalid factorization")
             return F
     return None

@@ -1,5 +1,6 @@
 """Braid words, canonical forms, equality, positivity, conjugacy."""
 
+import itertools
 import random
 
 import pytest
@@ -208,6 +209,20 @@ def test_enumerate_braids_distinct_and_ordered():
     assert len(keys) == len(words) == 17
     lens = [len(w) for w in words]
     assert lens == sorted(lens)  # shortest representative first
+
+
+def test_enumerate_braids_matches_all_words():
+    # reference: every word of each length, first word of each braid kept
+    for d, max_len in [(2, 5), (3, 4), (4, 3), (5, 2)]:
+        alphabet = sorted(k for k in range(-(d - 1), d) if k != 0)
+        seen, expected = set(), []
+        for n in range(max_len + 1):
+            for letters in itertools.product(alphabet, repeat=n):
+                key = nf_key(BraidWord(d, letters))
+                if key not in seen:
+                    seen.add(key)
+                    expected.append(letters)
+        assert [w.letters for w in enumerate_braids(d, max_len)] == expected
 
 
 def test_conjugacy_basics():

@@ -1,5 +1,6 @@
 """Cuspidal factorizations: validation, Hurwitz moves, conjugation, search."""
 
+import itertools
 import random
 
 import pytest
@@ -8,14 +9,18 @@ from braidfact.braid import (
     BraidWord,
     canonical_form,
     compose,
+    enumerate_braids,
     equals,
     full_twist,
     identity_word,
     invert,
+    nf_key,
+    nf_mul,
 )
 from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
+    _orderings,
     Factorization,
     conjugate_all,
     factor_word,
@@ -222,6 +227,63 @@ def test_search_six_branch_points():
 def test_search_empty_profile_rejected_unless_trivial():
     assert search_factorization(1, (), 1).r == 0  # B_1 full twist is empty
     assert search_factorization(2, (), 1) is None  # exponent 0 != 2
+
+
+def first_factorization_brute_force(d, profile, bound):
+    """The documented search order, walked without pruning: s-sequences
+    ascending, then candidate index tuples lexicographically."""
+    cands = enumerate_braids(d, bound)
+    target = nf_key(full_twist(d))
+    for seq in sorted(set(itertools.permutations(profile))):
+        keys = [[nf_key(factor_word(CuspidalFactor(rho, s))) for rho in cands] for s in seq]
+        for choice in itertools.product(range(len(cands)), repeat=len(seq)):
+            if nf_mul(d, *(keys[j][i] for j, i in enumerate(choice))) == target:
+                factors = tuple(CuspidalFactor(cands[i], s) for i, s in zip(choice, seq))
+                return Factorization(d, factors, full_twist(d))
+    return None
+
+
+@pytest.mark.parametrize(
+    "profile, bound",
+    [
+        ((3, 1, 1, 1), 0),  # nothing found
+        ((3, 1, 1, 1), 2),
+        ((2, 2, 1, 1), 1),
+        ((2, 2, 1, 1), 2),
+        ((1,) * 6, 1),
+        ((2, 1, 1, 1, 1), 1),
+        ((2, 1, 1, 1, 1), 2),
+        ((3, 3), 2),  # nothing found
+    ],
+)
+def test_search_matches_brute_force_order(profile, bound):
+    expected = first_factorization_brute_force(3, profile, bound)
+    F = search_factorization(3, profile, bound)
+    if expected is None:
+        assert F is None
+    else:
+        assert F is not None
+        assert format_factorization(F) == format_factorization(expected)
+
+
+def test_orderings_distinct_and_ascending():
+    for profile in [(), (1,), (1, 1, 1), (1, 1, 2, 3), (1, 2, 2, 3, 3)]:
+        assert list(_orderings(profile)) == sorted(set(itertools.permutations(profile)))
+
+
+def test_search_orderings_are_lazy():
+    # 12! orderings collapse to one; the budget caps the search itself
+    assert search_factorization(4, (1,) * 12, 0, max_nodes=5) is None
+
+
+def test_search_two_cusp_quartic_profile_witness():
+    F = search_factorization(4, (3, 3) + (1,) * 6, 2)
+    assert F is not None and validate(F).ok
+    # frozen first witness under the documented search order
+    assert [(f.s, f.rho.letters) for f in F.factors] == [
+        (1, ()), (1, ()), (1, ()), (1, (-2, -3)), (1, (-2, -1)), (1, (2, 3)),
+        (3, (2,)), (3, (2, -1)),
+    ]
 
 
 def test_search_budget_exhaustion_raises():

@@ -224,11 +224,6 @@ def test_inverse_cancellation(kernel):
         assert kernel.normal_form(d, w + winv) == (0, ())
 
 
-def test_half_twist_perm():
-    for d in range(1, 9):
-        assert garside_py.half_twist_perm(d) == tuple(range(d - 1, -1, -1))
-
-
 @pytest.fixture(scope="module")
 def factor_cases():
     """Seeded (d, inf, factors, reference normal form) in B_1..B_8."""
