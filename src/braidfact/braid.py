@@ -189,6 +189,20 @@ def conjugate(u: BraidWord, z: BraidWord) -> BraidWord:
     return compose(invert(z), compose(u, z))
 
 
+def free_reduce(letters) -> tuple[int, ...]:
+    """Cancel adjacent inverse letters (k, -k); the letters become ints.
+
+    Serves braid words (the braid is unchanged) and free-group words alike.
+    """
+    out: list[int] = []
+    for k in letters:
+        if out and out[-1] == -k:
+            out.pop()
+        else:
+            out.append(int(k))
+    return tuple(out)
+
+
 def identity_word(d: int) -> BraidWord:
     return BraidWord(d, ())
 

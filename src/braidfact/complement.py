@@ -15,19 +15,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation, equals, full_twist
+from .braid import BraidWord, Permutation, equals, free_reduce, full_twist
 from .errors import FormatError
 from .factorization import CuspidalFactor, Factorization, validate
-
-
-def _reduce(letters) -> tuple[int, ...]:
-    out: list[int] = []
-    for k in letters:
-        if out and out[-1] == -k:
-            out.pop()
-        else:
-            out.append(int(k))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -39,7 +29,7 @@ class FreeWord:
     def __post_init__(self) -> None:
         if any(k == 0 for k in self.letters):
             raise ValueError("letters must be nonzero")
-        object.__setattr__(self, "letters", _reduce(self.letters))
+        object.__setattr__(self, "letters", free_reduce(self.letters))
 
     def __mul__(self, other: FreeWord) -> FreeWord:
         return FreeWord(self.letters + other.letters)
@@ -111,7 +101,7 @@ def artin_action(w: BraidWord, u: FreeWord) -> FreeWord:
             if l < 0:
                 img = tuple(-x for x in reversed(img))
             out.extend(img)
-        letters = _reduce(out)
+        letters = free_reduce(out)
     return FreeWord(letters)
 
 
@@ -231,19 +221,9 @@ class SymmetricImage:
     epi: bool
 
 
-def _evaluate(
-    r: FreeWord, images: list[tuple[int, ...]], inverses: list[tuple[int, ...]], n: int
-) -> tuple[int, ...]:
-    """The image of r, given each generator's image and its inverse."""
-    cur = tuple(range(1, n + 1))
-    for l in r.letters:
-        p = images[l - 1] if l > 0 else inverses[-l - 1]
-        cur = tuple(p[x - 1] for x in cur)
-    return cur
-
-
 def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
-    identity = tuple(range(1, n + 1))
+    """Whether 0-based image tuples generate all of S_n."""
+    identity = tuple(range(n))
     gens = [p for p in images if p != identity]
     seen = {identity}
     frontier = [identity]
@@ -251,7 +231,7 @@ def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
         nxt = []
         for q in frontier:
             for p in gens:
-                qp = tuple(p[x - 1] for x in q)
+                qp = tuple(p[x] for x in q)
                 if qp not in seen:
                     seen.add(qp)
                     nxt.append(qp)
@@ -274,64 +254,61 @@ def enumerate_homs(
     checked as soon as all its generators are assigned.  With
     up_to_conjugacy only the least representative of each simultaneous
     conjugacy class is returned; with epi_only only images generating S_n.
+
+    Complete assignments are met in lexicographic order, and a conjugate of
+    a homomorphism is a homomorphism, so the first member of a class met is
+    its least: it is kept and its conjugates are marked seen.
     """
     if n < 1 or n > max_n:
         raise ValueError(f"n must be in 1..{max_n}")
     if P.ngens > max_gens:
         raise ValueError(f"generator count exceeds cap {max_gens}")
-    perms = sorted(itertools.permutations(range(1, n + 1)))
-    candidates = [(p, Permutation(p).inverse().images) for p in perms]
-    by_last_gen: dict[int, list[FreeWord]] = {}
+    # 0-based image tuples in lexicographic order, each mapped to its inverse
+    perms = itertools.permutations(range(n))
+    inverse = {p: tuple(sorted(range(n), key=p.__getitem__)) for p in perms}
+    by_last_gen: dict[int, list[tuple[int, ...]]] = {}
     for r in P.relators:
-        by_last_gen.setdefault(r.max_index(), []).append(r)
-    if 0 in by_last_gen:
-        # relators with no letters are trivially satisfied
-        del by_last_gen[0]
+        by_last_gen.setdefault(r.max_index(), []).append(r.letters)
 
-    found: list[tuple[tuple[int, ...], ...]] = []
     images: list[tuple[int, ...]] = []
-    inverses: list[tuple[int, ...]] = []
+    seen: set = set()
+    out: list[SymmetricImage] = []
+
+    def holds(word: tuple[int, ...]) -> bool:
+        # trace each point through the letters; stop at the first that moves
+        maps = [images[l - 1] if l > 0 else inverse[images[-l - 1]] for l in word]
+        for x in range(n):
+            y = x
+            for p in maps:
+                y = p[y]
+            if y != x:
+                return False
+        return True
 
     def assign(g: int) -> None:
         if g > P.ngens:
-            found.append(tuple(images))
+            tup = tuple(images)
+            if tup in seen:
+                return
+            if up_to_conjugacy:
+                seen.update(
+                    tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup)
+                    for c, c_inv in inverse.items()
+                )
+            epi = _generates_full(tup, n)
+            if epi or not epi_only:
+                out.append(
+                    SymmetricImage(n, tuple(Permutation(tuple(x + 1 for x in p)) for p in tup), epi)
+                )
             return
-        for p, p_inv in candidates:
+        words = by_last_gen.get(g, ())
+        for p in inverse:
             images.append(p)
-            inverses.append(p_inv)
-            if all(
-                _evaluate(r, images, inverses, n) == perms[0]
-                for r in by_last_gen.get(g, ())
-            ):
+            if all(map(holds, words)):
                 assign(g + 1)
             images.pop()
-            inverses.pop()
 
     assign(1)
-
-    out = []
-    for tup in found:
-        if epi_only and not _generates_full(tup, n):
-            continue
-        if up_to_conjugacy:
-            best = tup
-            for c, inv in candidates:
-                conj = tuple(
-                    tuple(c[p[inv[x - 1] - 1] - 1] for x in range(1, n + 1))
-                    for p in tup
-                )
-                if conj < best:
-                    best = conj
-            if best != tup:
-                continue
-        out.append(
-            SymmetricImage(
-                n,
-                tuple(Permutation(p) for p in tup),
-                # a kept tuple under epi_only already passed the test
-                epi_only or _generates_full(tup, n),
-            )
-        )
     return out
 
 

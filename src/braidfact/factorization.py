@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
-    Permutation,
     compose,
     conjugate,
     enumerate_braids,
     equals,
     format_word,
+    free_reduce,
     full_twist,
     identity_word,
     invert,
@@ -127,17 +127,6 @@ def validate(F: Factorization) -> ValidationReport:
     return ValidationReport(product_ok, counts, exponent_ok)
 
 
-def _freely_reduced(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse letters; the braid is unchanged."""
-    out: list[int] = []
-    for l in w.letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return BraidWord(w.strands, tuple(out))
-
-
 def hurwitz_move(F: Factorization, i: int, direction: str) -> Factorization:
     """Hurwitz move at 1-based position i (acting on factors i and i+1).
 
@@ -155,18 +144,12 @@ def hurwitz_move(F: Factorization, i: int, direction: str) -> Factorization:
     b = F.factors[i]
     wa = factor_word(a) if isinstance(a, CuspidalFactor) else a
     wb = factor_word(b) if isinstance(b, CuspidalFactor) else b
-    if direction == "right":
-        if isinstance(b, CuspidalFactor):
-            moved = CuspidalFactor(_freely_reduced(compose(b.rho, invert(wa))), b.s)
-        else:
-            moved = _freely_reduced(conjugate(b, invert(wa)))
-        pair = (moved, a)
+    f, g = (b, invert(wa)) if direction == "right" else (a, wb)
+    if isinstance(f, CuspidalFactor):
+        moved = CuspidalFactor(BraidWord(F.strands, free_reduce(compose(f.rho, g).letters)), f.s)
     else:
-        if isinstance(a, CuspidalFactor):
-            moved = CuspidalFactor(_freely_reduced(compose(a.rho, wb)), a.s)
-        else:
-            moved = _freely_reduced(conjugate(a, wb))
-        pair = (b, moved)
+        moved = BraidWord(F.strands, free_reduce(conjugate(f, g).letters))
+    pair = (moved, a) if direction == "right" else (b, moved)
     factors = F.factors[: i - 1] + pair + F.factors[i + 1 :]
     return Factorization(F.strands, factors, F.target)
 
@@ -258,9 +241,19 @@ def search_factorization(
         images = tuple(range(d - 1, -1, -1)) if inf % 2 else tuple(range(d))
         for f in factors:
             images = tuple(f[x] for x in images)
-        t_needed = d - len(Permutation(tuple(x + 1 for x in images)).cycle_type())
-        odd = sum(1 for s in remaining if s % 2)
-        if odd < t_needed or (odd - t_needed) % 2:
+        cycles = 0
+        seen = [False] * d
+        for start in range(d):
+            if not seen[start]:
+                cycles += 1
+                x = start
+                while not seen[x]:
+                    seen[x] = True
+                    x = images[x]
+        # a factor permutes by one transposition if s is odd, else trivially,
+        # and this permutation needs d - cycles transpositions.  Parities
+        # agree by themselves: rest's exponent sum is the remaining s sum.
+        if sum(1 for s in remaining if s % 2) < d - cycles:
             return False
         lo = sum(stats_by_s[s][0] for s in remaining)
         hi = sum(stats_by_s[s][1] for s in remaining)

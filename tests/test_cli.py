@@ -311,3 +311,40 @@ def test_cli_integer_arguments_keep_exit_contract(capsys, cubic_file, tmp_path, 
     code, _, err = run(capsys, *(names.get(arg, arg) for arg in command))
     assert code in (0, 1, 2, 64, 65), (command, n, code)
     assert "Traceback" not in err
+
+
+@st.composite
+def presentation_text(draw):
+    """A generator count (or junk), then up to 3 relator lines.  Most lines
+    use only generators in range; the rest mix in zero letters, generators
+    out of range and tokens that are not integers."""
+    ngens = draw(st.integers(0, 3))
+    good = [str(sign * g) for g in range(1, ngens + 1) for sign in (1, -1)] or [""]
+    bad = good + ["0", str(ngens + 1), str(-ngens - 1), "x", "1.5", "--"]
+    lines = [draw(st.sampled_from((str(ngens),) * 5 + ("-1", "x", "2 1")))]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens = draw(st.sampled_from((good, good, good, bad)))
+        lines.append(" ".join(draw(st.lists(st.sampled_from(tokens), max_size=4))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    text=presentation_text(),
+    n=st.sampled_from((-1, 0, 1, 2, 3, 4, 8)),
+    epi=st.booleans(),
+    all_=st.booleans(),
+)
+@example(text="3\n", n=4, epi=False, all_=True)  # the largest search these bounds allow
+def test_homs_presentation_files_keep_exit_contract(capsys, tmp_path, text, n, epi, all_):
+    pres = tmp_path / "fuzz.pres"
+    pres.write_text(text)
+    argv = ["homs", str(pres), str(n)] + ["--epi"] * epi + ["--all"] * all_
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 64, 65), (text, argv, code)
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 """Complement-group presentations, Tietze moves, homs, coset enumeration."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -164,7 +165,8 @@ def test_simplify_preserves_hom_counts():
             ), (P, Q, n)
 
 
-def naive_hom_count(P, n):
+def naive_homs(P, n):
+    """Every homomorphism to S_n, as 1-based image tuples, sorted."""
     perms = list(itertools.permutations(range(1, n + 1)))
 
     def ev(r, images):
@@ -179,11 +181,29 @@ def naive_hom_count(P, n):
             cur = tuple(p[c - 1] for c in cur)
         return cur
 
-    count = 0
-    for choice in itertools.product(perms, repeat=P.ngens):
-        if all(ev(r, choice) == tuple(range(1, n + 1)) for r in P.relators):
-            count += 1
-    return count
+    return sorted(
+        choice
+        for choice in itertools.product(perms, repeat=P.ngens)
+        if all(ev(r, choice) == tuple(range(1, n + 1)) for r in P.relators)
+    )
+
+
+def naive_generates(images, n):
+    group = {tuple(range(1, n + 1))}
+    while True:
+        grown = group | {tuple(p[x - 1] for x in g) for g in group for p in images}
+        if grown == group:
+            return len(group) == math.factorial(n)
+        group = grown
+
+
+def naive_class_min(images, n):
+    # simultaneous conjugation by every c in S_n: x -> c(p(c^-1(x)))
+    out = []
+    for c in itertools.permutations(range(1, n + 1)):
+        c_inv = tuple(c.index(x) + 1 for x in range(1, n + 1))
+        out.append(tuple(tuple(c[p[c_inv[x] - 1] - 1] for x in range(n)) for p in images))
+    return min(out)
 
 
 def test_enumerate_homs_matches_naive_product():
@@ -193,6 +213,7 @@ def test_enumerate_homs_matches_naive_product():
         S3_PRES,
         FinitePresentation(1, (FreeWord((1, 1, 1)),)),
         FinitePresentation(2, ()),
+        FinitePresentation(0, ()),
     ]
     for _ in range(10):
         ngens = rng.randint(1, 2)
@@ -202,9 +223,17 @@ def test_enumerate_homs_matches_naive_product():
         )
         presentations.append(FinitePresentation(ngens, rel))
     for P in presentations:
-        for n in (2, 3, 4):
-            got = len(enumerate_homs(P, n, up_to_conjugacy=False))
-            assert got == naive_hom_count(P, n), (P, n)
+        for n in (1, 2, 3, 4):
+            homs = naive_homs(P, n)
+            epi = {h: naive_generates(h, n) for h in homs}
+            minima = [h for h in homs if h == naive_class_min(h, n)]
+            for up_to_conjugacy, epi_only in itertools.product((False, True), repeat=2):
+                want = [h for h in (minima if up_to_conjugacy else homs) if epi[h] or not epi_only]
+                got = enumerate_homs(P, n, up_to_conjugacy=up_to_conjugacy, epi_only=epi_only)
+                case = (P, n, up_to_conjugacy, epi_only)
+                assert [tuple(p.images for p in h.images) for h in got] == want, case
+                assert [h.epi for h in got] == [epi[h] for h in want], case
+                assert all(h.n == n for h in got), case
 
 
 def test_enumerate_homs_conjugacy_classes():
