@@ -24,6 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -403,89 +404,78 @@ def _simple_steps(d: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple((step, nf_inv(d, step)) for step in steps)
 
 
-def _summit(d: int, key, zkey, budget: WorkBudget):
-    """Cycle to maximal inf and decycle to minimal sup, from key = nf_key of
-    z^-1 u z, zkey = nf_key of z.
+def _summit(d: int, key, budget: WorkBudget):
+    """Cycle, then decycle, the braid u with nf_key key to a super summit
+    element.
 
-    Returns (key', zkey') with key' the nf_key of a summit element z'^-1 u z'
-    and zkey' = nf_key(z').  Each phase follows its trajectory until a
-    repeated normal form and keeps the best element seen.  Iterated cycling
-    cannot increase sup and iterated decycling cannot decrease inf, so each
-    phase ranges over a finite set.
+    Returns (nf_key of z^-1 u z, nf_key of z), the first an element of the
+    super summit set of u.  Each phase follows its trajectory until a normal
+    form repeats.  Neither cycling nor decycling lowers inf or raises sup,
+    and by the cycling theorem (El-Rifai and Morton 1994; Birman, Gebhardt
+    and Gonzalez-Meneses, "Conjugacy in Garside groups I", 2007) iterated
+    cycling raises inf unless it is already maximal in the conjugacy class,
+    and iterated decycling lowers sup unless it is already minimal.  A
+    repeated normal form lies on a cycle, where neither changes, so each
+    phase's repeat point is already extreme.
     """
     budget.tick()
-    improved = True
-    while improved:
-        improved = False
-        for cycling in (True, False):
-            # cycling pushes inf up, decycling pushes sup = inf + len down
-            gain = (lambda k: k[0]) if cycling else (lambda k: -k[0] - len(k[1]))
-            best, best_z = key, zkey
-            seen = {key}
-            while key[1]:
-                inf, factors = key
-                budget.tick()
-                a = factors[0] if cycling else factors[-1]
-                step = _tau(a) if inf % 2 else a
-                if cycling:  # conjugate by step: D^inf A_2 ... A_k step
-                    key = nf_mul(d, (inf, factors[1:] + (step,)))
-                    zkey = nf_mul(d, zkey, (0, (step,)))
-                else:  # conjugate by A_k^-1: D^inf step A_1 ... A_k-1
-                    key = nf_mul(d, (inf, (step,) + factors[:-1]))
-                    zkey = nf_mul(d, zkey, nf_inv(d, (0, (a,))))
-                if gain(key) > gain(best):
-                    best, best_z = key, zkey
-                    improved = True
-                if key in seen:
-                    break
-                seen.add(key)
-            key, zkey = best, best_z
+    zkey = (0, ())
+    for cycling in (True, False):
+        seen = {key}
+        while key[1]:
+            inf, factors = key
+            budget.tick()
+            a = factors[0] if cycling else factors[-1]
+            step = _tau(a) if inf % 2 else a
+            if cycling:  # conjugate by step: D^inf A_2 ... A_k step
+                key = nf_mul(d, (inf, factors[1:] + (step,)))
+                zkey = nf_mul(d, zkey, (0, (step,)))
+            else:  # conjugate by A_k^-1: D^inf step A_1 ... A_k-1
+                key = nf_mul(d, (inf, (step,) + factors[:-1]))
+                zkey = nf_mul(d, zkey, nf_inv(d, (0, (a,))))
+            if key in seen:
+                break
+            seen.add(key)
     return key, zkey
 
 
-def _super_summit_set(u: BraidWord, budget: WorkBudget):
-    """Close the super summit set of u under permutation-braid conjugation.
+def _super_summit_set(d: int, key, budget: WorkBudget):
+    """Yield the super summit set of the summit element with nf_key key.
 
-    Returns (states, best) where states maps the nf_key of each class member
-    to the nf_key of a conjugator z with conjugate(u, z) that member, and
-    best = (inf, -len), larger for a better summit (higher inf, then shorter
-    canonical length).  If any conjugation improves on the current summit
-    values the search restarts from the improved element, so the returned
-    set sits at the true summit values and is closed under all simple
-    conjugations.
+    Each member comes as (nf_key, nf_key of a conjugator z taking key to
+    it), breadth first from (key, identity), as it is first met.  The set
+    is closed under conjugation by permutation braids, keeping the
+    conjugates with key's inf and canonical length; it is connected under
+    these conjugations (El-Rifai and Morton 1994), so a generator that runs
+    out has yielded all of it.
     """
-    d = u.strands
     steps = _simple_steps(d)
-    key, zkey = _summit(d, nf_key(u), (0, ()), budget)
-    while True:
-        best = (key[0], -len(key[1]))
-        states = {key: zkey}
-        queue = [key]
-        restart = None
-        while queue and restart is None:
-            wkey = queue.pop(0)
-            zcur = states[wkey]
-            for step, step_inv in steps:
-                budget.tick()
-                k = nf_mul(d, step_inv, wkey, step)
-                q = (k[0], -len(k[1]))
-                if q > best:
-                    restart = _summit(d, k, nf_mul(d, zcur, step), budget)
-                    break
-                if q == best and k not in states:
-                    states[k] = nf_mul(d, zcur, step)
-                    queue.append(k)
-        if restart is None:
-            return states, best
-        key, zkey = restart
+    shape = (key[0], len(key[1]))
+    root = (key, (0, ()))
+    seen = {key}
+    queue = deque([root])
+    yield root
+    while queue:
+        wkey, zkey = queue.popleft()
+        for step, step_inv in steps:
+            budget.tick()
+            k = nf_mul(d, step_inv, wkey, step)
+            if k not in seen and (k[0], len(k[1])) == shape:
+                seen.add(k)
+                member = (k, nf_mul(d, zkey, step))
+                queue.append(member)
+                yield member
 
 
 def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
     """Decide conjugacy in B_d within a work budget.
 
-    "conjugate" always carries a witness z verified to satisfy
-    equals(conjugate(u, z), v); "not_conjugate" names a separating invariant
-    or reports completed disjoint super summit sets; "unknown" means the
+    u and v go to summit elements; if their inf and canonical length differ
+    they are not conjugate, and otherwise u's super summit set is closed
+    until v's summit element appears in it.  "conjugate" always carries a
+    witness z verified to satisfy equals(conjugate(u, z), v);
+    "not_conjugate" names a separating invariant or reports a completed
+    super summit set of u without v's summit element; "unknown" means the
     budget ran out first.
     """
     if u.strands != v.strands:
@@ -498,25 +488,23 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         return ConjugacyResult("not_conjugate", reason="permutation_cycle_type")
     if equals(u, v):
         return ConjugacyResult("conjugate", witness=identity_word(u.strands))
+    d = u.strands
     wb = WorkBudget(budget)
     try:
-        states_u, best_u = _super_summit_set(u, wb)
-        states_v, best_v = _super_summit_set(v, wb)
+        ukey, zu = _summit(d, nf_key(u), wb)
+        vkey, zv = _summit(d, nf_key(v), wb)
+        if (ukey[0], len(ukey[1])) != (vkey[0], len(vkey[1])):
+            return ConjugacyResult(
+                "not_conjugate", reason="summit_inf_and_length", work=wb.used
+            )
+        z = next((z for key, z in _super_summit_set(d, ukey, wb) if key == vkey), None)
     except SearchBudgetExceeded:
         return ConjugacyResult("unknown", reason="budget_exhausted", work=wb.used)
-    if best_u != best_v:
-        return ConjugacyResult(
-            "not_conjugate", reason="summit_inf_and_length", work=wb.used
-        )
-    common = sorted(states_u.keys() & states_v.keys())
-    if not common:
+    if z is None:
         return ConjugacyResult(
             "not_conjugate", reason="disjoint_super_summit_sets", work=wb.used
         )
-    key = common[0]
-    d = u.strands
-    zkey = nf_mul(d, states_u[key], nf_inv(d, states_v[key]))
-    witness = BraidWord(d, nf_letters(d, zkey))
+    witness = BraidWord(d, nf_letters(d, nf_mul(d, zu, z, nf_inv(d, zv))))
     if not equals(conjugate(u, witness), v):
         raise AssertionError("conjugacy witness failed verification")
     return ConjugacyResult("conjugate", witness=witness, work=wb.used)
@@ -527,8 +515,9 @@ def summit_key(w: BraidWord, budget: int):
     or None if the budget is exhausted before the set is closed."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    wb = WorkBudget(budget)
     try:
-        states, _ = _super_summit_set(w, WorkBudget(budget))
+        key, _ = _summit(w.strands, nf_key(w), wb)
+        return min(member for member, _ in _super_summit_set(w.strands, key, wb))
     except SearchBudgetExceeded:
         return None
-    return min(states.keys())

@@ -58,6 +58,8 @@ class Factorization:
             raise ValueError("factors must be CuspidalFactor or BraidWord")
         if len(kinds) > 1:
             raise ValueError("cannot mix cuspidal and generic factors")
+        if CuspidalFactor in kinds and self.strands < 2:
+            raise ValueError("cuspidal factors need at least 2 strands")
         for f in self.factors:
             w = f.rho if isinstance(f, CuspidalFactor) else f
             if w.strands != self.strands:

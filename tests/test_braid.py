@@ -28,6 +28,7 @@ from braidfact.braid import (
     parse_word,
     permutation_braid_letters,
     permutation_of,
+    summit_key,
 )
 from braidfact.errors import FormatError
 
@@ -266,6 +267,37 @@ def test_conjugacy_random_witnesses_verify():
         res = conjugacy_test(u, v, 200000)
         assert res.outcome == "conjugate", (u, z)
         assert equals(conjugate(u, res.witness), v)
+
+
+def test_summit_key_is_conjugacy_invariant():
+    rng = random.Random(4099)
+    # the conjugate (1)^-1 u (1) needs cycling: decycling alone stops below the summit
+    cases = [(BraidWord(4, (-2, -1, -1, -1, -1)), BraidWord(4, (1,)))]
+    for _ in range(20):
+        d = rng.randint(3, 5)
+        cases.append((rand_word(rng, d, rng.randint(1, 8)), rand_word(rng, d, rng.randint(1, 4))))
+    for u, z in cases:
+        key = summit_key(u, 200000)
+        assert key is not None
+        assert summit_key(conjugate(u, z), 200000) == key
+        # the key is at the summit: no conjugate by a braid of length <= 2
+        # has a larger inf or a smaller sup
+        for c in enumerate_braids(u.strands, 2):
+            inf, factors = nf_key(conjugate(u, c))
+            assert inf <= key[0] and inf + len(factors) >= key[0] + len(key[1])
+
+
+def test_conjugacy_reasons_name_the_separating_summit_value():
+    pairs = [
+        ((-2, 3, -1, 2), (2, -1, -3, 2), "summit_inf_and_length"),  # lengths 2, 3
+        ((-3, 1, -2, 1, -3), (-3, -3, -1, 2, 1), "summit_inf_and_length"),  # infs -1, -2
+        ((2, 2, -3), (3, -1, 3), "disjoint_super_summit_sets"),
+    ]
+    for u, v, reason in pairs:
+        u, v = BraidWord(4, u), BraidWord(4, v)
+        res = conjugacy_test(u, v, 200000)
+        assert (res.outcome, res.reason) == ("not_conjugate", reason)
+        assert summit_key(u, 200000) != summit_key(v, 200000)
 
 
 def test_conjugacy_input_checks():

@@ -266,6 +266,24 @@ def test_pi1_unusable_factorization_is_input_error(capsys, tmp_path):
         assert code == 65 and err.startswith("input error: ") and "Traceback" not in err
 
 
+ONE_STRAND_CUSPIDAL = "strands 1\ntarget full_twist\nfactor s=1 rho=\n"
+
+
+def test_one_strand_cuspidal_file_is_input_error(capsys, tmp_path):
+    f = tmp_path / "one.fact"
+    f.write_text(ONE_STRAND_CUSPIDAL)
+    for argv in (
+        ("validate", str(f)),
+        ("move", str(f), "1"),
+        ("conjugate", str(f), ""),
+        ("fingerprint", str(f)),
+        ("decide", str(f), str(f)),
+        ("pi1", str(f)),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 65 and err.startswith("input error: "), (argv, code, err)
+
+
 def test_fulltwist_nonpositive_strands_is_usage_error(capsys):
     for strands in ("0", "-2"):
         code, _, err = run(capsys, "fulltwist", strands)
@@ -348,3 +366,57 @@ def test_homs_presentation_files_keep_exit_contract(capsys, tmp_path, text, n, e
     code, _, err = run(capsys, *argv)
     assert code in (0, 1, 2, 64, 65), (text, argv, code)
     assert "Traceback" not in err
+
+
+@st.composite
+def factorization_text(draw):
+    """A strand line (or junk), a target line, then up to 4 factor lines.
+    Most factor lines are cuspidal with a short rho in range; the rest are
+    generic words, bad s values, letters out of range and junk lines."""
+    d = draw(st.integers(0, 4))
+    good = [str(sign * k) for k in range(1, d) for sign in (1, -1)] or [""]
+    bad = good + ["0", str(d), str(-d), "x"]
+
+    def word():
+        tokens = draw(st.sampled_from((good, good, good, bad)))
+        return " ".join(draw(st.lists(st.sampled_from(tokens), max_size=3)))
+
+    lines = [draw(st.sampled_from((f"strands {d}",) * 5 + ("strands x", "strands")))]
+    lines.append(draw(st.sampled_from(("target full_twist",) * 4 + ("target word=", "target x"))))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("cusp", "cusp", "cusp", "word", "junk")))
+        if kind == "cusp":
+            s = draw(st.sampled_from(("1", "1", "2", "3", "0", "4", "x")))
+            lines.append(f"factor s={s} rho={word()}")
+        elif kind == "word":
+            lines.append(f"factor word={word()}")
+        else:
+            lines.append(draw(st.sampled_from(("factor", "factor s=1", "# note", "bogus"))))
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=factorization_text(), conjugator=st.sampled_from(("", "1", "-2 1")))
+@example(text=ONE_STRAND_CUSPIDAL, conjugator="")
+@example(text=CONIC_FACT, conjugator="1")  # a file that validates
+def test_factorization_files_keep_exit_contract(capsys, cubic_file, tmp_path, text, conjugator):
+    f = tmp_path / "fuzz.fact"
+    f.write_text(text)
+    fact = str(f)
+    for argv in (
+        ("validate", fact),
+        ("move", fact, "1"),
+        ("conjugate", fact, conjugator),
+        ("fingerprint", fact, "--conj-budget", "5"),
+        ("pi1", fact),
+        ("decide", fact, fact, "--max-states", "5"),
+        ("decide", fact, cubic_file, "--max-states", "5"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64, 65), (text, argv, code)
+        assert "Traceback" not in err

@@ -109,6 +109,13 @@ def test_factorization_input_checks():
         conjugate_all(CONIC, BraidWord(3, (1,)))
 
 
+def test_cuspidal_factors_need_two_strands():
+    # X_1 does not exist on one strand, so neither does a cuspidal factor
+    with pytest.raises(ValueError):
+        Factorization(1, (CuspidalFactor(BraidWord(1, ()), 1),))
+    assert validate(Factorization(1, ())).ok
+
+
 def test_moves_preserve_product_and_counts():
     rng = random.Random(60827)
     for _ in range(120):
