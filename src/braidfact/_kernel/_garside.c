@@ -1,8 +1,9 @@
 /* Compiled twin of garside_py: left-greedy Garside normal forms in B_d.
  *
  * Same contract and conventions as braidfact._kernel.garside_py, written
- * directly against the CPython API: normal_form(d, letters) and
- * normal_form_factors(d, inf, factors) share one comb, every letter and
+ * directly against the CPython API: normal_form(d, letters) folds the word
+ * into runs of letters that stay one permutation braid, and it and
+ * normal_form_factors(d, inf, factors) share one comb; every letter and
  * image tuple is validated (ValueError for values out of range), and
  * tests/test_kernel.py holds both entries to the pure twin and to a
  * brute-force reference.  setup.py builds it as an optional extension.
@@ -167,8 +168,9 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
     int d;
     PyObject *letters, *seq, *inf, *result = NULL;
     Py_ssize_t n;
-    int *raw = NULL, *tmp = NULL;
+    int *raw = NULL, *pi = NULL, *p = NULL;
     char *negative = NULL;
+    Py_ssize_t m = 0;
     long dp = 0;
 
     if (!PyArg_ParseTuple(args, "iO:normal_form", &d, &letters))
@@ -187,20 +189,24 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
     }
 
     raw = alloc_ints(n, d);
-    tmp = alloc_ints(1, d);
+    pi = alloc_ints(1, d);
     negative = PyMem_Malloc((size_t)n);
-    if (raw == NULL || tmp == NULL || negative == NULL) {
+    if (raw == NULL || pi == NULL || negative == NULL) {
         PyErr_NoMemory();
         goto done;
     }
 
-    /* Each positive letter contributes the transposition s_i; each negative
-     * letter X_i^-1 = Delta^-1 (Delta X_i^-1) contributes the permutation
-     * braid w0 s_i together with one inverse half twist. */
+    /* Consecutive letters accumulate into one run r, a permutation braid
+     * held as images p and inverse pi.  X_i joins r while s_i does not
+     * right-divide it (pi[i] < pi[i+1]), adding a crossing; X_i^-1 joins
+     * while s_i does, cancelling that crossing.  Either way r becomes
+     * r s_i.  Any other letter opens a new run: the identity for X_i, and
+     * for X_i^-1 = Delta^-1 (Delta X_i^-1) the half twist w0 with one
+     * inverse half twist, before the letter is applied.  The m runs fill
+     * the front of raw. */
     for (Py_ssize_t j = 0; j < n; j++) {
         PyObject *item = PyTuple_GET_ITEM(seq, j);
-        int overflow, i;
-        int *p = raw + j * d;
+        int overflow, i, x, y;
         long k = PyLong_AsLongAndOverflow(item, &overflow);
         if (k == -1 && PyErr_Occurred())
             goto done;
@@ -210,42 +216,42 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         }
         i = (int)(k > 0 ? k : -k) - 1;
-        negative[j] = k < 0;
-        if (k > 0) {
-            for (int x = 0; x < d; x++)
-                p[x] = x;
-            p[i] = i + 1;
-            p[i + 1] = i;
+        if (m == 0 || (pi[i] < pi[i + 1]) != (k > 0)) {
+            p = raw + m * d;
+            negative[m++] = k < 0;
+            for (x = 0; x < d; x++)
+                p[x] = pi[x] = k > 0 ? x : d - 1 - x;
         }
-        else {
-            for (int x = 0; x < d; x++)
-                p[x] = d - 1 - x;
-            p[d - 1 - i] = i + 1;
-            p[d - 2 - i] = i;
-        }
+        x = pi[i];
+        y = pi[i + 1];
+        p[x] = i + 1;
+        p[y] = i;
+        pi[i] = y;
+        pi[i + 1] = x;
     }
 
     /* Shift all half-twist powers to the front: a factor passing one power
-     * of Delta is conjugated by the involution tau(p) = w0 . p . w0. */
-    for (Py_ssize_t j = n - 1; j >= 0; j--) {
+     * of Delta is conjugated by the involution tau(p) = w0 . p . w0 (pi is
+     * free now and serves as scratch). */
+    for (Py_ssize_t j = m - 1; j >= 0; j--) {
         if (dp & 1) {
-            int *p = raw + j * d;
+            p = raw + j * d;
             for (int x = 0; x < d; x++)
-                tmp[x] = d - 1 - p[d - 1 - x];
-            memcpy(p, tmp, (size_t)d * sizeof(int));
+                pi[x] = d - 1 - p[d - 1 - x];
+            memcpy(p, pi, (size_t)d * sizeof(int));
         }
         dp -= negative[j];
     }
 
     inf = PyLong_FromLong(dp);
     if (inf != NULL) {
-        result = comb(d, inf, raw, n);
+        result = comb(d, inf, raw, m);
         Py_DECREF(inf);
     }
 
 done:
     PyMem_Free(raw);
-    PyMem_Free(tmp);
+    PyMem_Free(pi);
     PyMem_Free(negative);
     Py_DECREF(seq);
     return result;

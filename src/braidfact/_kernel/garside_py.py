@@ -18,11 +18,14 @@ letters in reading order.  Under this convention
     finishing(a).
 
 The kernel has two entries on one comb.  normal_form takes a signed
-letter word and expands each letter into one permutation braid, moving
-the half-twist powers to the front; normal_form_factors takes a half-twist
-power and whole permutation braids, so a product of normal forms is
-combed only where its factors do not already fit (the right
-multiplication of Epstein et al., Word Processing in Groups, ch. 9).
+letter word and folds it into runs, each one permutation braid: a letter
+joins the current run while it adds a crossing (sigma_i) or cancels one
+(sigma_i^-1), else it opens the next run, and the half-twist powers of
+runs opened by inverse letters move to the front.  normal_form_factors
+takes a half-twist power and whole permutation braids, so a product of
+normal forms is combed only where its factors do not already fit (the
+right multiplication of Epstein et al., Word Processing in Groups,
+ch. 9).
 
 The comb slides one crossing at a time from the front of a factor to the
 back of its left neighbour until every pair is left-weighted; each slide
@@ -125,27 +128,33 @@ def normal_form(d, letters):
     if not letters:
         return 0, ()
 
-    w0 = list(range(d - 1, -1, -1))
+    identity = list(range(d))
+    w0 = identity[::-1]
 
-    # Each positive letter contributes the transposition s_i; each negative
-    # letter sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1) contributes the
-    # permutation braid w0 * s_i together with one inverse half twist.
+    # Consecutive letters accumulate into one run r, a permutation braid
+    # held as images p and inverse pi.  sigma_i joins r while s_i does not
+    # right-divide it (pi[i] < pi[i+1]), adding a crossing; sigma_i^-1
+    # joins while s_i does, cancelling that crossing.  Either way r becomes
+    # r * s_i.  Any other letter opens a new run: the identity for sigma_i,
+    # and for sigma_i^-1 = Delta^-1 * (Delta sigma_i^-1) the half twist w0
+    # with one inverse half twist, before the letter is applied.
     raw = []
     dpows = []
     for k in letters:
         i = abs(k) - 1
         if i < 0 or i >= d - 1:
             raise ValueError("letter %d out of range for %d strands" % (k, d))
-        if k > 0:
-            p = list(range(d))
-            p[i], p[i + 1] = p[i + 1], p[i]
+        if not raw or (pi[i] < pi[i + 1]) != (k > 0):
+            p = identity[:] if k > 0 else w0[:]
+            pi = p[:]  # the identity and w0 are involutions
             raw.append(p)
-            dpows.append(0)
-        else:
-            p = list(w0)
-            p[d - 1 - i], p[d - 2 - i] = i + 1, i
-            raw.append(p)
-            dpows.append(-1)
+            dpows.append(0 if k > 0 else -1)
+        x = pi[i]
+        y = pi[i + 1]
+        p[x] = i + 1
+        p[y] = i
+        pi[i] = y
+        pi[i + 1] = x
 
     # Shift all half-twist powers to the front: a factor passing one power
     # of Delta is conjugated by the involution tau(p) = w0 . p . w0.

@@ -51,6 +51,9 @@ from .geometry import (
 
 EX_USAGE = 64
 EX_DATAERR = 65
+# Largest strand count any command accepts; `fulltwist 1024` already prints
+# a 4 MB word.
+MAX_STRANDS = 1024
 
 
 class _UsageError(Exception):
@@ -60,6 +63,18 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the table says 64
         raise _UsageError(message)
+
+
+def _strands(text: str) -> int:
+    """argparse type of every strand count: an integer in 1..MAX_STRANDS,
+    checked before anything of that size is allocated."""
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid strand count {text!r}") from None
+    if not 1 <= d <= MAX_STRANDS:
+        raise argparse.ArgumentTypeError(f"strand count must be in 1..{MAX_STRANDS}, got {d}")
+    return d
 
 
 def _bool(x) -> str:
@@ -121,10 +136,7 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_fulltwist(args) -> int:
-    try:
-        text = format_word(full_twist(args.strands))
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    text = format_word(full_twist(args.strands))
     _emit(args, [("word", text)], text)
     return 0
 
@@ -314,16 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("nf", _cmd_nf, "left-greedy normal form of a braid word")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands", type=_strands)
     p.add_argument("word", help='braid word, e.g. "1 2 -1"')
 
     p = add("eq", _cmd_eq, "decide equality of two braid words")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands", type=_strands)
     p.add_argument("word1")
     p.add_argument("word2")
 
     p = add("fulltwist", _cmd_fulltwist, "the full-twist word on d strands")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands", type=_strands)
 
     p = add("validate", _cmd_validate, "check a factorization file against its target")
     p.add_argument("file")
@@ -338,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
 
     p = add("search", _cmd_search, "search for a cuspidal factorization of the full twist")
-    p.add_argument("strands", type=int)
+    p.add_argument("strands", type=_strands)
     p.add_argument("profile", help='s-values, e.g. "3,1,1,1"')
     p.add_argument("--bound", type=int, default=4, help="conjugator length bound (default 4)")
     p.add_argument(

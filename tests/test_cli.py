@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import braidfact.cli as cli
 import braidfact.equivalence as equivalence
+from braidfact.braid import BraidWord, canonical_form, equals, permutation_braid_letters
 from braidfact.cli import main
 from braidfact.factorization import validate
 
@@ -322,6 +323,9 @@ CONTRACT_COMMANDS = (
 )
 @given(command=st.sampled_from(CONTRACT_COMMANDS), n=st.integers(-3, 5))
 @example(command=("order", "PRES", "--budget", "N"), n=0)
+@example(command=("nf", "N", "1 2 -1"), n=10**14)
+@example(command=("eq", "N", "1 2 1", "2 1 2"), n=10**14)
+@example(command=("fulltwist", "N"), n=10**14)
 def test_cli_integer_arguments_keep_exit_contract(capsys, cubic_file, tmp_path, command, n):
     pres = tmp_path / "trefoil.pres"
     pres.write_text(TREFOIL_PRES)
@@ -329,6 +333,53 @@ def test_cli_integer_arguments_keep_exit_contract(capsys, cubic_file, tmp_path, 
     code, _, err = run(capsys, *(names.get(arg, arg) for arg in command))
     assert code in (0, 1, 2, 64, 65), (command, n, code)
     assert "Traceback" not in err
+
+
+def test_strand_count_outside_bound_is_usage_error(capsys):
+    for command in (("nf", "N", "1"), ("eq", "N", "1", "1"), ("fulltwist", "N"), ("search", "N", "3,1")):
+        for n in ("0", "1025", "99999999999999", "x"):
+            code, out, err = run(capsys, *(n if arg == "N" else arg for arg in command))
+            assert (code, out) == (64, "") and "strand count" in err, (command, n)
+    assert run(capsys, "nf", "1024", "1023 -1")[0] == 0
+
+
+@st.composite
+def cli_word(draw, d):
+    """A word for B_d as typed on the command line, and whether every token
+    is a letter of B_d.  Most tokens are letters; the rest are zero, letters
+    out of range, 20-digit integers and tokens that are not integers."""
+    valid = [str(sign * g) for g in range(1, d) for sign in (1, -1)]
+    huge = draw(st.sampled_from((1, -1))) * draw(st.integers(10**19, 10**20 - 1))
+    junk = ["0", str(d), str(-d - 2), str(huge), "x", "1.5", "--", "1,2"]
+    tokens = draw(st.lists(st.sampled_from(valid * 6 + junk), max_size=8))
+    return " ".join(tokens), all(t in valid for t in tokens)
+
+
+def nf_line(d, text):
+    cf = canonical_form(BraidWord(d, tuple(int(t) for t in text.split())))
+    factors = ";".join(" ".join(map(str, permutation_braid_letters(p))) for p in cf.factors)
+    return f"inf={cf.inf} factors={factors}\n"
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data(), d=st.integers(1, 5))
+def test_cli_words_keep_exit_contract(capsys, data, d):
+    u, u_valid = data.draw(cli_word(d))
+    v, v_valid = data.draw(cli_word(d))
+    code, out, err = run(capsys, "nf", str(d), u)
+    assert code in (0, 1, 64) and "Traceback" not in err, (d, u, code)
+    if u_valid:
+        assert (code, out) == (0, nf_line(d, u)), (d, u)
+    code, out, err = run(capsys, "eq", str(d), u, v)
+    assert code in (0, 1, 64) and "Traceback" not in err, (d, u, v, code)
+    if u_valid and v_valid:
+        U, V = (BraidWord(d, tuple(int(t) for t in w.split())) for w in (u, v))
+        assert code == (0 if equals(U, V) else 1), (d, u, v)
 
 
 @st.composite

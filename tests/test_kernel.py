@@ -224,6 +224,72 @@ def test_inverse_cancellation(kernel):
         assert kernel.normal_form(d, w + winv) == (0, ())
 
 
+def half_twist_letters(d):
+    return positive_letters(range(d - 1, -1, -1))
+
+
+def test_runs_reach_and_pass_the_half_twist(kernel):
+    # A positive word folds into one run until the run is w0; the next
+    # letter opens a second run (in B_2, sigma_1 is the half twist itself).
+    assert kernel.normal_form(2, [1, 1, 1]) == (3, ())
+    for d in range(3, 9):
+        half = half_twist_letters(d)
+        assert kernel.normal_form(d, half) == (1, ())
+        s1 = (1, 0) + tuple(range(2, d))
+        assert kernel.normal_form(d, half + [1]) == (1, (s1,)) == ref_normal_form(d, half + [1])
+        inverse = [-k for k in reversed(half)]
+        assert kernel.normal_form(d, inverse) == (-1, ())
+        assert kernel.normal_form(d, inverse + [-1]) == ref_normal_form(d, inverse + [-1])
+
+
+@pytest.mark.parametrize(
+    "d, letters",
+    [
+        (2, [1, -1]),
+        (2, [-1, 1]),
+        (3, [1, 2, -2, -1]),
+        (3, [-1, -2, 2, 1]),
+        (4, [1, 2, 3, -3, 1, -1, -2, -1]),  # cancels inside a positive run
+        (4, [-3, -2, 2, -1, 1, 3]),  # and inside a negative one
+        (5, [2, 1, 3, 2, 4, -4, -2, -3, -1, -2]),
+    ],
+)
+def test_inverse_letters_cancel_inside_a_run(kernel, d, letters):
+    assert kernel.normal_form(d, letters) == (0, ())
+
+
+def test_negative_run_grown_back_to_the_half_twist(kernel):
+    # sigma_i^-1 opens Delta^-1 (w0 s_i); positive letters may then add
+    # crossings to that run until it is w0 again and the Delta cancels.
+    for d in range(2, 8):
+        half = half_twist_letters(d)
+        for cut in range(len(half)):
+            negative = [-k for k in reversed(half[cut:])]
+            word = negative + half[cut:]
+            assert kernel.normal_form(d, word) == (0, ()), word
+            # letters after w0 open the next run
+            assert kernel.normal_form(d, word + [d - 1, 1]) == ref_normal_form(d, [d - 1, 1])
+
+
+@pytest.fixture(scope="module")
+def long_words():
+    """Seeded words in B_7 and B_8 of up to 176 letters, the word-problem
+    benchmark's range, with their reference normal forms."""
+    rng = random.Random(20261018)
+    cases = []
+    for j in range(16):
+        d = 7 + j % 2
+        letters = [rng.choice([1, -1]) * rng.randint(1, d - 1) for _ in range(176 - 11 * j)]
+        cases.append((d, letters, ref_normal_form(d, letters)))
+    return cases
+
+
+def test_long_words_against_reference(kernel, long_words):
+    for d, letters, expected in long_words:
+        assert kernel.normal_form(d, letters) == expected, (d, letters)
+        assert nf_perm(d, *expected) == perm_of(d, letters)
+
+
 @pytest.fixture(scope="module")
 def factor_cases():
     """Seeded (d, inf, factors, reference normal form) in B_1..B_8."""
