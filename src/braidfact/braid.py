@@ -33,6 +33,10 @@ from ._kernel import normal_form_factors as _kernel_normal_form_factors
 from .errors import FormatError, SearchBudgetExceeded, WorkBudget
 
 
+# Largest strand or generator count of any input: the full twist on 1024 strands is 4 MB.
+MAX_STRANDS = 1024
+
+
 @dataclass(frozen=True)
 class Permutation:
     """Bijection of {1..d}, stored as the tuple of images of 1, 2, ..., d."""
@@ -356,16 +360,40 @@ def format_word(w: BraidWord) -> str:
 
 
 # ---------------------------------------------------------------------------
-# conjugacy: cycling/decycling to a summit representative, then closure of
-# the super summit set under conjugation by permutation braids
+# the one breadth-first core, and the enumeration of short braids on it
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
-    outcome: str  # "conjugate" | "not_conjugate" | "unknown"
-    witness: BraidWord | None = None
-    reason: str | None = None
-    work: int = 0
+def bfs(root, children):
+    """Breadth-first closure of root: (state, labels) once per state, in the
+    order first met, root first; labels are those of the moves on the path
+    that first reached the state.  children(state, labels) yields (label,
+    child) pairs in the order they are tried.  The caller bounds the search:
+    by taking fewer states, by yielding no children past a depth, or by a
+    budget ticked in children."""
+    seen = {root}
+    queue = deque([(root, ())])
+    yield root, ()
+    while queue:
+        state, labels = queue.popleft()
+        for label, child in children(state, labels):
+            if child not in seen:
+                seen.add(child)
+                path = labels + (label,)
+                queue.append((child, path))
+                yield child, path
+
+
+def _braids(d: int, max_len: int):
+    """Lazily, (nf_key, letters) of each braid of enumerate_braids, in its
+    order: a word is its parent's first word plus one letter."""
+    alphabet = [(x, nf_key(BraidWord(d, (x,)))) for x in range(1 - d, d) if x]
+
+    def grow(key, word):
+        if len(word) < max_len:
+            for x, xkey in alphabet:
+                yield x, nf_mul(d, key, xkey)
+
+    return bfs((0, ()), grow)
 
 
 @lru_cache(maxsize=32)
@@ -377,22 +405,20 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     word that reaches it, so the result is sorted by that order and starts
     with the empty word.
     """
-    alphabet = tuple(sorted(k for k in range(-(d - 1), d) if k != 0))
-    seen = set()
-    out = []
-    # a braid's first word extends its prefix's first word: grow only new words
-    layer: list[tuple[int, ...]] = [()]
-    for _ in range(max_len + 1):
-        grown = []
-        for letters in layer:
-            w = BraidWord(d, letters)
-            key = nf_key(w)
-            if key not in seen:
-                seen.add(key)
-                out.append(w)
-                grown.extend(letters + (x,) for x in alphabet)
-        layer = grown
-    return tuple(out)
+    return tuple(BraidWord(d, word) for _, word in _braids(d, max_len))
+
+
+# ---------------------------------------------------------------------------
+# conjugacy: cycling/decycling to a summit representative, then closure of
+# the super summit set under conjugation by permutation braids
+
+
+@dataclass(frozen=True)
+class ConjugacyResult:
+    outcome: str  # "conjugate" | "not_conjugate" | "unknown"
+    witness: BraidWord | None = None
+    reason: str | None = None
+    work: int = 0
 
 
 @lru_cache(maxsize=64)
@@ -442,29 +468,24 @@ def _summit(d: int, key, budget: WorkBudget):
 def _super_summit_set(d: int, key, budget: WorkBudget):
     """Yield the super summit set of the summit element with nf_key key.
 
-    Each member comes as (nf_key, nf_key of a conjugator z taking key to
-    it), breadth first from (key, identity), as it is first met.  The set
-    is closed under conjugation by permutation braids, keeping the
-    conjugates with key's inf and canonical length; it is connected under
-    these conjugations (El-Rifai and Morton 1994), so a generator that runs
-    out has yielded all of it.
+    Each member comes as (nf_key, path of _simple_steps(d) indices whose
+    steps conjugate key to it), breadth first, as it is first met.  The set
+    is closed under conjugation by permutation braids, one budget tick per
+    conjugation tried, keeping the conjugates with key's inf and canonical
+    length; it is connected under these conjugations (El-Rifai and Morton
+    1994), so a generator that runs out has yielded all of it.
     """
     steps = _simple_steps(d)
     shape = (key[0], len(key[1]))
-    root = (key, (0, ()))
-    seen = {key}
-    queue = deque([root])
-    yield root
-    while queue:
-        wkey, zkey = queue.popleft()
-        for step, step_inv in steps:
+
+    def conjugates(wkey, _):
+        for i, (step, step_inv) in enumerate(steps):
             budget.tick()
             k = nf_mul(d, step_inv, wkey, step)
-            if k not in seen and (k[0], len(k[1])) == shape:
-                seen.add(k)
-                member = (k, nf_mul(d, zkey, step))
-                queue.append(member)
-                yield member
+            if (k[0], len(k[1])) == shape:
+                yield i, k
+
+    return bfs(key, conjugates)
 
 
 def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
@@ -497,13 +518,14 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
             return ConjugacyResult(
                 "not_conjugate", reason="summit_inf_and_length", work=wb.used
             )
-        z = next((z for key, z in _super_summit_set(d, ukey, wb) if key == vkey), None)
+        path = next((p for key, p in _super_summit_set(d, ukey, wb) if key == vkey), None)
     except SearchBudgetExceeded:
         return ConjugacyResult("unknown", reason="budget_exhausted", work=wb.used)
-    if z is None:
+    if path is None:
         return ConjugacyResult(
             "not_conjugate", reason="disjoint_super_summit_sets", work=wb.used
         )
+    z = nf_mul(d, *(_simple_steps(d)[i][0] for i in path))
     witness = BraidWord(d, nf_letters(d, nf_mul(d, zu, z, nf_inv(d, zv))))
     if not equals(conjugate(u, witness), v):
         raise AssertionError("conjugacy witness failed verification")

@@ -4,8 +4,9 @@ Every subcommand is a pure function of its arguments and input files.
 Exit codes: 0 success / positive verdict, 1 negative verdict (unequal
 words, failed validation, nothing found, distinguished), 2 inconclusive
 (budget exhausted), 64 usage error, 65 malformed or unreadable input
-file.  ``--format=structured`` switches to a one-field-per-line
-key=value protocol; plain mode favors the compact documented lines.
+file.  ``--format=structured`` turns the compact result lines (nf, eq,
+fulltwist, validate, order, arrangement, invariants, search's result=)
+into one key=value field per line; other output ignores it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import sys
 
 from .braid import (
+    MAX_STRANDS,
     BraidWord,
     canonical_form,
     equals,
@@ -51,9 +53,6 @@ from .geometry import (
 
 EX_USAGE = 64
 EX_DATAERR = 65
-# Largest strand count any command accepts; `fulltwist 1024` already prints
-# a 4 MB word.
-MAX_STRANDS = 1024
 
 
 class _UsageError(Exception):

@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .braid import BraidWord, Permutation, equals, free_reduce, full_twist
+from .braid import MAX_STRANDS, BraidWord, Permutation, bfs, equals, free_reduce, full_twist
 from .errors import FormatError
 from .factorization import CuspidalFactor, Factorization, validate
 
@@ -223,20 +223,8 @@ class SymmetricImage:
 
 def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
     """Whether 0-based image tuples generate all of S_n."""
-    identity = tuple(range(n))
-    gens = [p for p in images if p != identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for p in gens:
-                qp = tuple(p[x] for x in q)
-                if qp not in seen:
-                    seen.add(qp)
-                    nxt.append(qp)
-        frontier = nxt
-    return len(seen) == math.factorial(n)
+    closure = bfs(tuple(range(n)), lambda q, _: ((p, tuple(p[x] for x in q)) for p in images))
+    return sum(1 for _ in closure) == math.factorial(n)
 
 
 def enumerate_homs(
@@ -513,6 +501,8 @@ def parse_presentation(text: str) -> FinitePresentation:
         ngens = int(lines[0])
     except ValueError:
         raise FormatError("first line must be the generator count") from None
+    if ngens > MAX_STRANDS:
+        raise FormatError(f"generator count must be at most {MAX_STRANDS}, got {ngens}")
     relators = []
     for ln in lines[1:]:
         try:

@@ -10,9 +10,11 @@ breadth-first orbit search and always replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .braid import (
     BraidWord,
+    bfs,
     enumerate_braids,
     equals,
     exponent_sum,
@@ -30,7 +32,6 @@ from .factorization import (
     conjugate_all,
     factor_words,
     hurwitz_move,
-    product_word,
     validate,
 )
 
@@ -54,14 +55,8 @@ class Fingerprint:
 
 def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
     """Compute the invariant fingerprint of a validated factorization."""
-    report = validate(F)
-    if not report.product_ok:
-        raise ValueError("fingerprint requires a validated factorization")
-    return _fingerprint(F, conjugacy_budget)
-
-
-def _fingerprint(F: Factorization, conjugacy_budget: int) -> Fingerprint:
-    """fingerprint of an F already known to validate."""
+    if not validate(F).product_ok:
+        raise ValueError("factorization does not validate")
     words = factor_words(F)
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
@@ -77,7 +72,7 @@ def _fingerprint(F: Factorization, conjugacy_budget: int) -> Fingerprint:
     return Fingerprint(
         F.strands,
         F.r,
-        exponent_sum(product_word(F)),
+        sum(map(exponent_sum, words)),
         s_multiset,
         cycle_types,
         keys,
@@ -115,49 +110,38 @@ class EquivalenceVerdict:
     orbit_complete: bool = False
 
 
-def _nf_bound(bound: int | None, *Fs: Factorization) -> int:
-    """bound, or by default 2 * (largest factor canonical length, min 1)."""
+def _nf_bound(bound: int | None, *keys) -> int:
+    """bound, or by default 2 * (largest factor canonical length in the
+    canonical keys, min 1)."""
     if bound is not None:
         return bound
-    return 2 * max([len(pair[1]) for F in Fs for pair in canonical_key(F)] + [1])
+    return 2 * max([len(pair[1]) for key in keys for pair in key] + [1])
 
 
-def _orbit(F: Factorization, nf_bound: int, max_states: int):
-    """Breadth-first Hurwitz-move orbit of F: one (key, path) per new state.
+def _orbit(d: int, start, nf_bound: int, max_states: int):
+    """Breadth-first Hurwitz-move orbit of canonical key start: one (key,
+    path) per new state.
 
     A state is its canonical key, one nf_key per factor braid; the moves at
     i replace the factors (a, b) by (b, b^-1 a b) ("left") or (a b a^-1, a)
-    ("right"), the braids hurwitz_move gives.  F itself comes first with the
-    empty path; moves are tried in ascending index order, "left" before
+    ("right"), the braids hurwitz_move gives.  start itself comes first with
+    the empty path; moves are tried in ascending index order, "left" before
     "right".  A state with a factor of canonical length above nf_bound is
     skipped.  The search stops after max_states states, so the orbit is
     complete only if fewer were yielded.
     """
-    d = F.strands
-    start = canonical_key(F)
-    seen = {start}
-    yield start, ()
-    frontier = [(start, ())]
-    while frontier:
-        next_frontier = []
-        for state, path in frontier:
-            for i in range(1, len(state)):
-                a, b = state[i - 1], state[i]
-                for direction in ("left", "right"):
-                    if len(seen) >= max_states:
-                        return
-                    if direction == "left":
-                        moved = (b, nf_mul(d, nf_inv(d, b), a, b))
-                    else:
-                        moved = (nf_mul(d, a, b, nf_inv(d, a)), a)
-                    key = state[: i - 1] + moved + state[i + 1 :]
-                    if key in seen or any(len(pair[1]) > nf_bound for pair in key):
-                        continue
-                    seen.add(key)
-                    child_path = path + ((i, direction),)
-                    yield key, child_path
-                    next_frontier.append((key, child_path))
-        frontier = next_frontier
+
+    def moves(state, _):
+        for i in range(1, len(state)):
+            a, b = state[i - 1], state[i]
+            left = (b, nf_mul(d, nf_inv(d, b), a, b))
+            right = (nf_mul(d, a, b, nf_inv(d, a)), a)
+            for direction, moved in (("left", left), ("right", right)):
+                key = state[: i - 1] + moved + state[i + 1 :]
+                if all(len(pair[1]) <= nf_bound for pair in key):
+                    yield (i, direction), key
+
+    return islice(bfs(start, moves), max_states)
 
 
 def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorization:
@@ -197,12 +181,9 @@ def decide_equivalence(
         raise ValueError("budgets must be positive")
     if budget.max_factor_nf_length is not None and budget.max_factor_nf_length <= 0:
         raise ValueError("budgets must be positive")
-    if not validate(F1).product_ok or not validate(F2).product_ok:
-        raise ValueError("both factorizations must validate")
 
-    fp1 = _fingerprint(F1, 0)
-    fp2 = _fingerprint(F2, 0)
-    for field, v1, v2 in _fingerprint_fields(fp1, fp2):
+    # fingerprint raises ValueError for an input that does not validate
+    for field, v1, v2 in _fingerprint_fields(fingerprint(F1), fingerprint(F2)):
         if v1 != v2:
             return EquivalenceVerdict(
                 "distinguished", field=field, values=(str(v1), str(v2))
@@ -211,22 +192,20 @@ def decide_equivalence(
     # match targets: state G hits when G equals conjugate_all(F2, z^-1),
     # whose factors are z f z^-1 for the factors f of F2
     d = F1.strands
-    f2 = canonical_key(F2)
+    f1, f2 = canonical_key(F1), canonical_key(F2)
     targets: dict[tuple, BraidWord] = {}
     for z in enumerate_braids(d, budget.conjugator_length_bound):
         zkey = nf_key(z)
         targets.setdefault(tuple(nf_mul(d, zkey, f, nf_inv(d, zkey)) for f in f2), z)
 
     states = 0
-    nf_bound = _nf_bound(budget.max_factor_nf_length, F1, F2)
-    for key, path in _orbit(F1, nf_bound, budget.max_states):
+    nf_bound = _nf_bound(budget.max_factor_nf_length, f1, f2)
+    for key, path in _orbit(d, f1, nf_bound, budget.max_states):
         states += 1
         z = targets.get(key)
         if z is None:
             continue
-        got = factor_words(replay(F1, path, z))
-        want = factor_words(F2)
-        if len(got) != len(want) or not all(equals(a, b) for a, b in zip(got, want)):
+        if canonical_key(replay(F1, path, z)) != f2:
             raise AssertionError("equivalence path failed replay verification")
         return EquivalenceVerdict("equivalent", path=path, conjugator=z, states=states)
     return EquivalenceVerdict(
@@ -241,8 +220,9 @@ def explore_orbit(
     of F, and whether they are the whole bounded orbit."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
-    nf_bound = _nf_bound(max_factor_nf_length, F)
-    keys = frozenset(key for key, _ in _orbit(F, nf_bound, max_states))
+    start = canonical_key(F)
+    nf_bound = _nf_bound(max_factor_nf_length, start)
+    keys = frozenset(key for key, _ in _orbit(F.strands, start, nf_bound, max_states))
     return keys, len(keys) < max_states
 
 

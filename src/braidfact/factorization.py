@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import (
+    MAX_STRANDS,
     BraidWord,
+    _braids,
     compose,
     conjugate,
-    enumerate_braids,
     equals,
     format_word,
     free_reduce,
@@ -177,12 +178,17 @@ def profile_exponent_ok(d: int, profile) -> bool:
 
 
 def _orderings(profile: tuple[int, ...]):
-    """The distinct orderings of a sorted profile, lexicographically ascending."""
-    if not profile:
-        yield ()
-    for s in sorted(set(profile)):
-        i = profile.index(s)
-        yield from ((s,) + tail for tail in _orderings(profile[:i] + profile[i + 1 :]))
+    """The distinct orderings of a sorted profile, lexicographically ascending,
+    each the next permutation of the last, so that no recursion grows with it."""
+    seq = list(profile)
+    while True:
+        yield tuple(seq)
+        i = max((i for i in range(len(seq) - 1) if seq[i] < seq[i + 1]), default=-1)
+        if i < 0:
+            return
+        j = max(j for j in range(i + 1, len(seq)) if seq[j] > seq[i])
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
 def search_factorization(
@@ -212,28 +218,27 @@ def search_factorization(
     for s in profile:
         if s not in VALID_S:
             raise ValueError(f"profile values must be in {VALID_S}")
-    target = full_twist(d)
     if not profile_exponent_ok(d, profile):
         return None
+    target = full_twist(d)
     if not profile:
         return Factorization(d, (), target)
 
+    # The DFS holds each braid as its nf_key.  Per s value: the least index
+    # of each distinct factor key among the candidates, which come lazily
+    # at one budget tick per candidate and s value; the (index, inverse
+    # key) steps in that order, and the (min inf, max sup) of the keys.
     budget = WorkBudget(max_nodes)
-    cands = enumerate_braids(d, max_conjugator_length)
-    assert cands[0].letters == ()
-
-    # The DFS holds each braid as its nf_key.  Per s value: the least
-    # candidate index of each distinct factor key, the (index, inverse key)
-    # steps in that order, and the (min inf, max sup) of the keys.
-    index_by_s: dict[int, dict] = {}
+    cands: list[BraidWord] = []
+    index_by_s: dict[int, dict] = {s: {} for s in set(profile)}
+    for idx, (_, letters) in enumerate(_braids(d, max_conjugator_length)):
+        cands.append(BraidWord(d, letters))
+        for s, index in index_by_s.items():
+            budget.tick()
+            index.setdefault(nf_key(factor_word(CuspidalFactor(cands[idx], s))), idx)
     steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
-    for s in set(profile):
-        index: dict = {}
-        for idx, rho in enumerate(cands):
-            budget.tick()
-            index.setdefault(nf_key(factor_word(CuspidalFactor(rho, s))), idx)
-        index_by_s[s] = index
+    for s, index in index_by_s.items():
         steps_by_s[s] = [(idx, nf_inv(d, key)) for key, idx in index.items()]
         stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
 
@@ -330,8 +335,8 @@ def parse_factorization(text: str) -> Factorization:
         d = int(lines[0].split(maxsplit=1)[1])
     except (IndexError, ValueError):
         raise FormatError("bad strand count") from None
-    if d < 1:
-        raise FormatError("strand count must be >= 1")
+    if not 1 <= d <= MAX_STRANDS:
+        raise FormatError(f"strand count must be in 1..{MAX_STRANDS}, got {d}")
     if len(lines) < 2 or not lines[1].startswith("target "):
         raise FormatError("second line must be 'target ...'")
     tgt = lines[1][len("target ") :].strip()

@@ -1,14 +1,19 @@
 """Command-line surface: documented examples, exit codes, format modes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import braidfact
 import braidfact.cli as cli
 import braidfact.equivalence as equivalence
 from braidfact.braid import BraidWord, canonical_form, equals, permutation_braid_letters
 from braidfact.cli import main
-from braidfact.factorization import validate
+from braidfact.factorization import parse_factorization, validate
 
 CONIC_FACT = "strands 2\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
 CUBIC_FACT = (
@@ -257,6 +262,21 @@ def test_malformed_files_exit_65(capsys, tmp_path):
     assert run(capsys, "fingerprint", str(garbled))[0] == 65
 
 
+def test_counts_past_the_cap_in_files_exit_65(capsys, tmp_path):
+    fact = tmp_path / "huge.fact"
+    fact.write_text("strands 3000000\ntarget full_twist\n")
+    pres = tmp_path / "huge.pres"
+    pres.write_text("3000000000\n1 2\n")
+    for argv in (
+        ("validate", str(fact)),
+        ("pi1", str(fact)),
+        ("order", str(pres)),
+        ("homs", str(pres), "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, "") and "count must be" in err, argv
+
+
 def test_pi1_unusable_factorization_is_input_error(capsys, tmp_path):
     not_validating = "strands 3\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
     generic = "strands 2\ntarget full_twist\nfactor word=1\nfactor word=1\n"
@@ -471,3 +491,53 @@ def test_factorization_files_keep_exit_contract(capsys, cubic_file, tmp_path, te
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 64, 65), (text, argv, code)
         assert "Traceback" not in err
+
+
+@st.composite
+def search_argv(draw):
+    """search with a strand count, a profile and bounds as typed.  Profiles
+    are short lists of s-values mixed with bad values, or long runs of ones,
+    one of them (3540 for 60 strands) passing the exponent check; the node
+    budget is always small, so every example ends quickly."""
+    strands = draw(st.sampled_from(("1", "2", "3", "4", "60", "1024", "0", "1025", "x")))
+    if draw(st.booleans()):
+        profile = ",".join(["1"] * draw(st.sampled_from((0, 2, 3540, 100_000))))
+    else:
+        tokens = ("1", "1", "2", "3", "0", "4", "-1", "x", "1.5", "", "9" * 20)
+        sep = draw(st.sampled_from((",", " ", ", ")))
+        profile = sep.join(draw(st.lists(st.sampled_from(tokens), max_size=8)))
+    bound = draw(st.sampled_from(("-1", "0", "1", "2", "3", "50", str(10**9), "x")))
+    nodes = draw(st.sampled_from(("-1", "0", "1", "10", "200", "x")))
+    return ["search", strands, profile, "--bound", bound, "--max-nodes", nodes]
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=search_argv())
+@example(argv=["search", "60", ",".join(["1"] * 3540), "--bound", "2", "--max-nodes", "10"])
+@example(argv=["search", "60", ",".join(["1"] * 3540), "--bound", "0", "--max-nodes", "10"])
+@example(argv=["search", "3", "3,1,1,1", "--bound", "50", "--max-nodes", "200"])
+@example(argv=["search", "3", "", "--bound", "1", "--max-nodes", "10"])
+def test_search_profiles_keep_exit_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2, 64), (argv, code)
+    assert "Traceback" not in err
+    if code == 0:
+        assert validate(parse_factorization(out)).ok, argv
+
+
+def test_max_nodes_bounds_conjugator_enumeration():
+    # 118^3 words of length <= 3 in B_60: enumerating them all first takes
+    # minutes, while the budget of 10 nodes runs out after 10 candidates.
+    src = str(Path(braidfact.__file__).resolve().parents[1])
+    ones = ",".join(["1"] * 3540)
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from braidfact.cli import main; sys.exit(main())",
+         "search", "60", ones, "--bound", "3", "--max-nodes", "10"],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (2, "result=inconclusive\n"), done.stderr
