@@ -384,8 +384,8 @@ def bfs(root, children):
 
 
 def _braids(d: int, max_len: int):
-    """Lazily, (nf_key, letters) of each braid of enumerate_braids, in its
-    order: a word is its parent's first word plus one letter."""
+    """Lazily, (nf_key, letters) of each braid of enumerate_braids, in its order
+    (a word is its parent's first word plus one letter); search and decide draw from it."""
     alphabet = [(x, nf_key(BraidWord(d, (x,)))) for x in range(1 - d, d) if x]
 
     def grow(key, word):
@@ -396,7 +396,6 @@ def _braids(d: int, max_len: int):
     return bfs((0, ()), grow)
 
 
-@lru_cache(maxsize=32)
 def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     """All distinct braids with a word of length <= max_len, one word each.
 
@@ -423,11 +422,11 @@ class ConjugacyResult:
 
 @lru_cache(maxsize=64)
 def _simple_steps(d: int) -> tuple[tuple[tuple, tuple], ...]:
-    """(nf_key, inverse nf_key) of every non-identity permutation braid,
-    in a fixed order."""
-    identity = tuple(range(d))
-    steps = [nf_mul(d, (0, (p,))) for p in itertools.permutations(identity) if p != identity]
-    return tuple((step, nf_inv(d, step)) for step in steps)
+    """(nf_key, inverse nf_key) of every non-identity permutation braid p, in
+    a fixed order; p's key is (0, (p,)), the half twist's (1, ())."""
+    half = tuple(range(d - 1, -1, -1))
+    steps = [(1, ()) if p == half else (0, (p,)) for p in itertools.permutations(range(d))]
+    return tuple((step, nf_inv(d, step)) for step in steps[1:])  # the identity comes first
 
 
 def _summit(d: int, key, budget: WorkBudget):

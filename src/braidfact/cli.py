@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .braid import (
     MAX_STRANDS,
@@ -309,6 +310,7 @@ def _cmd_invariants(args) -> int:
 # parser
 
 
+@cache  # one parser per process: main is called many times in one process
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="braidfact", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -368,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decide", _cmd_decide, "decide equivalence of two factorization files")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--max-states", type=int, default=2000, help="orbit state budget (default 2000)")
+    p.add_argument(
+        "--max-states", type=int, default=2000, help="orbit-state and conjugator cap (default 2000)"
+    )
     p.add_argument(
         "--nf-bound",
         type=int,
@@ -404,9 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EX_USAGE

@@ -14,8 +14,8 @@ from itertools import islice
 
 from .braid import (
     BraidWord,
+    _braids,
     bfs,
-    enumerate_braids,
     equals,
     exponent_sum,
     format_word,
@@ -89,6 +89,7 @@ def canonical_key(F: Factorization) -> tuple:
 class SearchBudget:
     """Bounds for the orbit search; every bound must be positive.
 
+    max_states caps both the orbit states and the conjugators tried.
     max_factor_nf_length bounds the canonical length (number of permutation
     braid factors in the normal form) of any single factor in an explored
     state; None derives 2 * (largest input factor canonical length, min 1).
@@ -170,8 +171,8 @@ def decide_equivalence(
     Fingerprints are compared first; a differing field is a sound negative
     certificate.  Otherwise the move orbit of F1 is explored breadth first
     (moves in ascending index order, "left" before "right"), matching
-    against F2 conjugated by every enumerated conjugator.  A returned
-    "equivalent" verdict has been replayed and verified factor by factor.
+    against F2 conjugated by each of the first max_states short braids.  An
+    "equivalent" verdict is replayed and verified factor by factor.
     """
     if F1.strands != F2.strands:
         raise ValueError("strand counts differ")
@@ -193,21 +194,20 @@ def decide_equivalence(
     # whose factors are z f z^-1 for the factors f of F2
     d = F1.strands
     f1, f2 = canonical_key(F1), canonical_key(F2)
-    targets: dict[tuple, BraidWord] = {}
-    for z in enumerate_braids(d, budget.conjugator_length_bound):
-        zkey = nf_key(z)
-        targets.setdefault(tuple(nf_mul(d, zkey, f, nf_inv(d, zkey)) for f in f2), z)
+    targets: dict[tuple, tuple[int, ...]] = {}
+    for zkey, letters in islice(_braids(d, budget.conjugator_length_bound), budget.max_states):
+        zinv = nf_inv(d, zkey)
+        targets.setdefault(tuple(nf_mul(d, zkey, f, zinv) for f in f2), letters)
 
     states = 0
     nf_bound = _nf_bound(budget.max_factor_nf_length, f1, f2)
     for key, path in _orbit(d, f1, nf_bound, budget.max_states):
         states += 1
-        z = targets.get(key)
-        if z is None:
-            continue
-        if canonical_key(replay(F1, path, z)) != f2:
-            raise AssertionError("equivalence path failed replay verification")
-        return EquivalenceVerdict("equivalent", path=path, conjugator=z, states=states)
+        if key in targets:
+            z = BraidWord(d, targets[key])
+            if canonical_key(replay(F1, path, z)) != f2:
+                raise AssertionError("equivalence path failed replay verification")
+            return EquivalenceVerdict("equivalent", path=path, conjugator=z, states=states)
     return EquivalenceVerdict(
         "inconclusive", states=states, orbit_complete=states < budget.max_states
     )

@@ -224,22 +224,22 @@ def search_factorization(
     if not profile:
         return Factorization(d, (), target)
 
-    # The DFS holds each braid as its nf_key.  Per s value: the least index
-    # of each distinct factor key among the candidates, which come lazily
-    # at one budget tick per candidate and s value; the (index, inverse
-    # key) steps in that order, and the (min inf, max sup) of the keys.
+    # The DFS holds each braid as its nf_key.  Per s value: the first
+    # candidate z, as letters, of each distinct factor key z^-1 X_1^s z, one
+    # budget tick per candidate and s value; the (letters, inverse key)
+    # steps in that order, and the (min inf, max sup) of the keys.
     budget = WorkBudget(max_nodes)
-    cands: list[BraidWord] = []
     index_by_s: dict[int, dict] = {s: {} for s in set(profile)}
-    for idx, (_, letters) in enumerate(_braids(d, max_conjugator_length)):
-        cands.append(BraidWord(d, letters))
+    powers = {s: nf_key(BraidWord(d, (1,) * s)) for s in index_by_s}
+    for zkey, letters in _braids(d, max_conjugator_length):
+        zinv = nf_inv(d, zkey)
         for s, index in index_by_s.items():
             budget.tick()
-            index.setdefault(nf_key(factor_word(CuspidalFactor(cands[idx], s))), idx)
+            index.setdefault(nf_mul(d, zinv, powers[s], zkey), letters)
     steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
     for s, index in index_by_s.items():
-        steps_by_s[s] = [(idx, nf_inv(d, key)) for key, idx in index.items()]
+        steps_by_s[s] = [(rho, nf_inv(d, key)) for key, rho in index.items()]
         stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
 
     def feasible(rest, remaining: tuple[int, ...]) -> bool:
@@ -269,27 +269,25 @@ def search_factorization(
     for seq in _orderings(profile):
         dead: set = set()
 
-        def rec(j: int, rest) -> tuple[int, ...] | None:
-            # candidate indices for slots j.. whose factors multiply to rest
+        def rec(j: int, rest) -> tuple | None:
+            # conjugator letters for slots j.. whose factors multiply to rest
             budget.tick()
+            if j == len(seq) - 1:  # the last slot is an exact lookup
+                rho = index_by_s[seq[j]].get(rest)
+                return None if rho is None else (rho,)
             state = (j, rest)
             if state not in dead and feasible(rest, seq[j:]):
-                if j == len(seq) - 1:
-                    idx = index_by_s[seq[j]].get(rest)
-                    if idx is not None:
-                        return (idx,)
-                else:
-                    for idx, key_inv in steps_by_s[seq[j]]:
-                        tail = rec(j + 1, nf_mul(d, key_inv, rest))
-                        if tail is not None:
-                            return (idx,) + tail
+                for rho, key_inv in steps_by_s[seq[j]]:
+                    tail = rec(j + 1, nf_mul(d, key_inv, rest))
+                    if tail is not None:
+                        return (rho,) + tail
             dead.add(state)
             return None
 
         # the full twist is D^2, as d >= 2 (d = 1 has only the empty profile)
         choice = rec(0, (2, ()))
         if choice is not None:
-            factors = tuple(CuspidalFactor(cands[idx], s) for idx, s in zip(choice, seq))
+            factors = tuple(CuspidalFactor(BraidWord(d, rho), s) for rho, s in zip(choice, seq))
             F = Factorization(d, factors, target)
             if not validate(F).product_ok:
                 raise AssertionError("search produced an invalid factorization")

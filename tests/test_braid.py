@@ -8,6 +8,7 @@ import pytest
 from braidfact.braid import (
     BraidWord,
     Permutation,
+    _simple_steps,
     canonical_form,
     compose,
     conjugate,
@@ -334,3 +335,10 @@ def test_nf_inv_and_nf_mul_match_word_normal_forms():
             u, v, w = (rng.choice(words) for _ in range(3))
             product = BraidWord(d, u.letters + v.letters + w.letters)
             assert nf_mul(d, nf_key(u), nf_key(v), nf_key(w)) == nf_key(product), (u, v, w)
+
+
+def test_simple_steps_are_the_normalised_permutation_braids():
+    for d in range(1, 7):
+        identity = tuple(range(d))
+        keys = [nf_mul(d, (0, (p,))) for p in itertools.permutations(identity) if p != identity]
+        assert _simple_steps(d) == tuple((k, nf_inv(d, k)) for k in keys), d

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import braidfact.braid as braid
 import braidfact.equivalence as equivalence
 from braidfact.braid import BraidWord, equals, full_twist, identity_word
 from braidfact.equivalence import (
@@ -139,6 +140,28 @@ def test_decide_validates_each_input_once(monkeypatch):
     F2 = hurwitz_move(CUBIC, 1, "left")
     assert decide_equivalence(CUBIC, F2).outcome == "equivalent"
     assert len(calls) == 2
+
+
+def test_decide_draws_at_most_max_states_conjugators(monkeypatch):
+    drawn = []
+
+    def counting_braids(d, max_len):
+        for item in braid._braids(d, max_len):
+            drawn.append(item)
+            yield item
+
+    monkeypatch.setattr(equivalence, "_braids", counting_braids)
+    quartic = cuspidal(
+        4, ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((), 3), ((-2,), 3), ((-2, -2), 3)
+    )
+    v = decide_equivalence(quartic, quartic, SearchBudget(max_states=1, conjugator_length_bound=7))
+    assert (v.outcome, v.path, v.conjugator.letters, len(drawn)) == ("equivalent", (), (), 1)
+    far = conjugate_all(quartic, BraidWord(4, (1, 2, 3)))
+    for max_states, outcome in ((4, "inconclusive"), (2000, "equivalent")):
+        drawn.clear()
+        v = decide_equivalence(quartic, far, SearchBudget(max_states=max_states))
+        assert v.outcome == outcome and v.states <= max_states
+        assert len(drawn) == min(max_states, 131)  # 131 braids of length <= 3 in B_4
 
 
 def test_orbit_budget_checks():

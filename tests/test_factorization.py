@@ -7,6 +7,7 @@ import pytest
 
 from braidfact.braid import (
     BraidWord,
+    _braids,
     canonical_form,
     compose,
     enumerate_braids,
@@ -14,6 +15,7 @@ from braidfact.braid import (
     full_twist,
     identity_word,
     invert,
+    nf_inv,
     nf_key,
     nf_mul,
 )
@@ -69,6 +71,17 @@ def test_factor_word_shape():
     assert factor_word(f).letters == (-2, 1, 1, 1, 2)
     f = CuspidalFactor(BraidWord(3, ()), 1)
     assert factor_word(f).letters == (1,)
+
+
+def test_factor_key_is_the_conjugated_power_key():
+    # the search keys each candidate's factor from the conjugator's key alone
+    for d in range(2, 6):
+        for max_len in range(3):
+            for key, word in _braids(d, max_len):
+                for s in (1, 2, 3):
+                    power = nf_key(BraidWord(d, (1,) * s))
+                    factor = factor_word(CuspidalFactor(BraidWord(d, word), s))
+                    assert nf_mul(d, nf_inv(d, key), power, key) == nf_key(factor), (word, s)
 
 
 def test_conic_validates():
