@@ -133,10 +133,11 @@ def _orbit(d: int, start, nf_bound: int, max_states: int):
     """
 
     def moves(state, _):
+        inverses = [nf_inv(d, f) for f in state]
         for i in range(1, len(state)):
             a, b = state[i - 1], state[i]
-            left = (b, nf_mul(d, nf_inv(d, b), a, b))
-            right = (nf_mul(d, a, b, nf_inv(d, a)), a)
+            left = (b, nf_mul(d, inverses[i], a, b))
+            right = (nf_mul(d, a, b, inverses[i - 1]), a)
             for direction, moved in (("left", left), ("right", right)):
                 key = state[: i - 1] + moved + state[i + 1 :]
                 if all(len(pair[1]) <= nf_bound for pair in key):
@@ -171,8 +172,12 @@ def decide_equivalence(
     Fingerprints are compared first; a differing field is a sound negative
     certificate.  Otherwise the move orbit of F1 is explored breadth first
     (moves in ascending index order, "left" before "right"), matching
-    against F2 conjugated by each of the first max_states short braids.  An
-    "equivalent" verdict is replayed and verified factor by factor.
+    against F2 conjugated by each of the first max_states short braids:
+    those are indexed by their image of F2's first factor, and F2's other
+    factors are conjugated only by the braids a state's first factor hits,
+    each braid at most once.  The first braid in enumeration order that
+    matches is the conjugator.  An "equivalent" verdict is replayed and
+    verified factor by factor.
     """
     if F1.strands != F2.strands:
         raise ValueError("strand counts differ")
@@ -190,21 +195,37 @@ def decide_equivalence(
                 "distinguished", field=field, values=(str(v1), str(v2))
             )
 
-    # match targets: state G hits when G equals conjugate_all(F2, z^-1),
-    # whose factors are z f z^-1 for the factors f of F2
+    # match index: state G hits when G equals conjugate_all(F2, z^-1), whose
+    # factors are z f z^-1 for the factors f of F2.  The conjugators are
+    # indexed, in stream order, by their image of F2's first factor (a slice,
+    # so a factorization with no factors has one key, ()); the other factors
+    # are conjugated only for a state whose first factor hits, once per
+    # conjugator.  The first conjugator in stream order that carries F2 to
+    # the state is the one returned.
     d = F1.strands
     f1, f2 = canonical_key(F1), canonical_key(F2)
-    targets: dict[tuple, tuple[int, ...]] = {}
+    index: dict[tuple, list] = {}
     for zkey, letters in islice(_braids(d, budget.conjugator_length_bound), budget.max_states):
         zinv = nf_inv(d, zkey)
-        targets.setdefault(tuple(nf_mul(d, zkey, f, zinv) for f in f2), letters)
+        head = tuple(nf_mul(d, zkey, f, zinv) for f in f2[:1])
+        index.setdefault(head, []).append((zkey, zinv, letters))
+    images: dict[tuple[int, ...], tuple] = {}  # letters -> F2 conjugated by them
+
+    def conjugator_to(key):
+        for zkey, zinv, letters in index.get(key[:1], ()):
+            if letters not in images:
+                images[letters] = key[:1] + tuple(nf_mul(d, zkey, f, zinv) for f in f2[1:])
+            if images[letters] == key:
+                return letters
+        return None
 
     states = 0
     nf_bound = _nf_bound(budget.max_factor_nf_length, f1, f2)
     for key, path in _orbit(d, f1, nf_bound, budget.max_states):
         states += 1
-        if key in targets:
-            z = BraidWord(d, targets[key])
+        letters = conjugator_to(key)
+        if letters is not None:
+            z = BraidWord(d, letters)
             if canonical_key(replay(F1, path, z)) != f2:
                 raise AssertionError("equivalence path failed replay verification")
             return EquivalenceVerdict("equivalent", path=path, conjugator=z, states=states)

@@ -1,12 +1,15 @@
 """Fingerprints, orbit exploration, and the equivalence decision procedure."""
 
 import random
+from collections import deque
+from itertools import islice
 
 import pytest
 
 import braidfact.braid as braid
 import braidfact.equivalence as equivalence
-from braidfact.braid import BraidWord, equals, full_twist, identity_word
+from braidfact.braid import BraidWord, enumerate_braids, equals, full_twist, identity_word, invert
+from braidfact.cli import main
 from braidfact.equivalence import (
     EquivalenceVerdict,
     SearchBudget,
@@ -38,6 +41,9 @@ def cuspidal(d, *pairs):
 
 CONIC = cuspidal(2, ((), 1), ((), 1))
 CUBIC = cuspidal(3, ((), 1), ((-2,), 1), ((2,), 1), ((), 3))
+QUARTIC = cuspidal(
+    4, ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((), 3), ((-2,), 3), ((-2, -2), 3)
+)
 
 
 def rand_z(rng, d, max_len):
@@ -93,26 +99,32 @@ def test_orbit_caps_states_exactly():
         assert len(keys) <= m and complete is False
 
 
-def reference_orbit(F, nf_bound, max_states):
-    """Breadth-first orbit over Factorization values: hurwitz_move on every
-    state, ascending index, "left" before "right", capped at max_states."""
+def reference_walk(F, nf_bound):
+    """Breadth-first orbit over Factorization values: (canonical key, path)
+    once per state, F first; hurwitz_move on every state, ascending index,
+    "left" before "right"; states with a factor longer than nf_bound are
+    skipped."""
     seen = {canonical_key(F)}
-    frontier = [F]
-    while frontier and len(seen) < max_states:
-        next_frontier = []
-        for state in frontier:
-            for i in range(1, state.r):
-                for direction in ("left", "right"):
-                    child = hurwitz_move(state, i, direction)
-                    key = canonical_key(child)
-                    if len(seen) >= max_states or key in seen:
-                        continue
-                    if any(len(pair[1]) > nf_bound for pair in key):
-                        continue
-                    seen.add(key)
-                    next_frontier.append(child)
-        frontier = next_frontier
-    return frozenset(seen), len(seen) < max_states
+    queue = deque([(F, ())])
+    yield canonical_key(F), ()
+    while queue:
+        state, path = queue.popleft()
+        for i in range(1, state.r):
+            for direction in ("left", "right"):
+                child = hurwitz_move(state, i, direction)
+                key = canonical_key(child)
+                if key in seen or any(len(pair[1]) > nf_bound for pair in key):
+                    continue
+                seen.add(key)
+                child_path = path + ((i, direction),)
+                queue.append((child, child_path))
+                yield key, child_path
+
+
+def reference_orbit(F, nf_bound, max_states):
+    """The first max_states states of reference_walk, and whether that is all."""
+    keys = frozenset(key for key, _ in islice(reference_walk(F, nf_bound), max_states))
+    return keys, len(keys) < max_states
 
 
 def test_orbit_matches_reference_search():
@@ -151,17 +163,99 @@ def test_decide_draws_at_most_max_states_conjugators(monkeypatch):
             yield item
 
     monkeypatch.setattr(equivalence, "_braids", counting_braids)
-    quartic = cuspidal(
-        4, ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((), 3), ((-2,), 3), ((-2, -2), 3)
-    )
-    v = decide_equivalence(quartic, quartic, SearchBudget(max_states=1, conjugator_length_bound=7))
+    v = decide_equivalence(QUARTIC, QUARTIC, SearchBudget(max_states=1, conjugator_length_bound=7))
     assert (v.outcome, v.path, v.conjugator.letters, len(drawn)) == ("equivalent", (), (), 1)
-    far = conjugate_all(quartic, BraidWord(4, (1, 2, 3)))
+    far = conjugate_all(QUARTIC, BraidWord(4, (1, 2, 3)))
     for max_states, outcome in ((4, "inconclusive"), (2000, "equivalent")):
         drawn.clear()
-        v = decide_equivalence(quartic, far, SearchBudget(max_states=max_states))
+        v = decide_equivalence(QUARTIC, far, SearchBudget(max_states=max_states))
         assert v.outcome == outcome and v.states <= max_states
         assert len(drawn) == min(max_states, 131)  # 131 braids of length <= 3 in B_4
+
+
+def test_decide_conjugates_other_factors_only_on_a_hit(monkeypatch):
+    products = []
+
+    def counting_nf_mul(d, *keys):
+        products.append(keys)
+        return braid.nf_mul(d, *keys)
+
+    monkeypatch.setattr(equivalence, "nf_mul", counting_nf_mul)
+    far = conjugate_all(QUARTIC, BraidWord(4, (1, 2, 3)))
+    v = decide_equivalence(QUARTIC, far, SearchBudget(max_states=1))
+    assert (v.outcome, v.states) == ("inconclusive", 1)
+    # one conjugator drawn, and the one state misses it: only F2's first
+    # factor is conjugated, not all six
+    assert len(products) == 1
+
+
+def reference_decide(F1, F2, budget):
+    """decide_equivalence past its fingerprints, with the full match table:
+    F2 conjugated by each of the first max_states braids of enumerate_braids,
+    the first braid kept for each conjugated tuple, looked up for each state
+    of reference_walk from F1."""
+    targets = {}
+    for z in enumerate_braids(F1.strands, budget.conjugator_length_bound)[: budget.max_states]:
+        targets.setdefault(canonical_key(conjugate_all(F2, invert(z))), z)
+    nf_bound = budget.max_factor_nf_length or 2 * max(
+        [len(pair[1]) for F in (F1, F2) for pair in canonical_key(F)] + [1]
+    )
+    states = 0
+    for key, path in islice(reference_walk(F1, nf_bound), budget.max_states):
+        states += 1
+        if key in targets:
+            return EquivalenceVerdict(
+                "equivalent", path=path, conjugator=targets[key], states=states
+            )
+    return EquivalenceVerdict(
+        "inconclusive", states=states, orbit_complete=states < budget.max_states
+    )
+
+
+def test_decide_keeps_the_first_conjugator_in_stream_order():
+    # identity and sigma_1^+-1 all fix CUBIC's first factor sigma_1; only
+    # sigma_1, the last of them in enumeration order, carries F2 to CUBIC
+    F2 = conjugate_all(CUBIC, BraidWord(3, (1,)))
+    v = decide_equivalence(CUBIC, F2)
+    assert (v.outcome, v.path, v.conjugator.letters) == ("equivalent", (), (1,))
+    assert v == reference_decide(CUBIC, F2, SearchBudget())
+    # in B_2 every braid of length <= 3 fixes both factors: the first one wins
+    v = decide_equivalence(CONIC, CONIC)
+    assert v.conjugator.letters == ()
+    assert v == reference_decide(CONIC, CONIC, SearchBudget())
+
+
+def test_decide_matches_the_full_table_reference():
+    rng = random.Random(4242)
+    pool = [
+        CONIC,
+        CUBIC,
+        search_factorization(3, (1,) * 6, 2),
+        search_factorization(3, (2, 2, 1, 1), 3),
+    ]
+    outcomes = set()
+    for case in range(48):
+        F1 = pool[case % len(pool)]
+        F2 = scramble(rng, F1, rng.randint(0, 3), 3)
+        budget = SearchBudget(
+            max_states=rng.choice((5, 60, 400)), conjugator_length_bound=1 + case % 3
+        )
+        for A, B in ((F1, F2), (F2, F1)):
+            v = decide_equivalence(A, B, budget)
+            assert v == reference_decide(A, B, budget), (case, budget)
+            outcomes.add(v.outcome)
+    assert outcomes == {"equivalent", "inconclusive"}
+
+
+def test_decide_zero_factor_file(capsys, tmp_path):
+    for text in ("strands 3\ntarget word=\n", "strands 1\ntarget full_twist\n"):
+        F = parse_factorization(text)
+        v = decide_equivalence(F, F)
+        assert (v.outcome, v.path, v.conjugator.letters) == ("equivalent", (), ())
+        path = tmp_path / "empty.fact"
+        path.write_text(text)
+        assert main(["decide", str(path), str(path)]) == 0
+        assert capsys.readouterr().out.startswith("outcome equivalent\n")
 
 
 def test_orbit_budget_checks():
