@@ -58,6 +58,17 @@ is_w0(const int *p, int d)
     return 1;
 }
 
+/* p <- tau(p) = w0 . p . w0 in place. */
+static void
+tau(int *p, int d)
+{
+    for (int x = 0, y = d - 1; x <= y; x++, y--) {
+        int u = d - 1 - p[y];
+        p[y] = d - 1 - p[x];
+        p[x] = u;
+    }
+}
+
 /* Remove factor m from the k factors held in fac and inv. */
 static void
 drop(int *fac, int *inv, Py_ssize_t m, Py_ssize_t k, int d)
@@ -88,7 +99,7 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
 {
     int *fac = raw;
     int *inv = alloc_ints(n, d);
-    Py_ssize_t k = 0, m, lead;
+    Py_ssize_t k = 0, m, lead, folds = 0;
     PyObject *out, *lead_obj, *total, *result;
 
     if (inv == NULL)
@@ -96,7 +107,12 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
 
     /* Append factors one at a time, combing backwards after each append
      * (one pass suffices by the domino rule; see garside_py._comb); the
-     * kept factors are compacted to the front of raw. */
+     * kept factors are compacted to the front of raw.  A half twist that
+     * forms at slot m is folded into the Delta power at once: it is
+     * dropped, the m factors before it become tau(x), and the comb of this
+     * append stops (see garside_py._comb for why that is the form the
+     * slides give).  A tau is d int moves a row here, so unlike the pure
+     * comb this one does not defer it. */
     for (Py_ssize_t j = 0; j < n; j++) {
         int *p = raw + j * d;
         if (is_identity(p, d))
@@ -114,12 +130,23 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
                 drop(fac, inv, m + 1, k, d);
                 k--;
             }
+            if (is_w0(fac + m * d, d)) {
+                drop(fac, inv, m, k, d);
+                k--;
+                for (Py_ssize_t r = 0; r < m; r++) {
+                    tau(fac + r * d, d);
+                    tau(inv + r * d, d);
+                }
+                folds++;
+                break;
+            }
         }
     }
 
     PyMem_Free(inv);
 
-    /* Leading half twists join the Delta power. */
+    /* Half twists appended with no changed pair before them stay at the
+     * front; they join the Delta power with the folded ones. */
     lead = 0;
     while (lead < k && is_w0(fac + lead * d, d))
         lead++;
@@ -145,7 +172,7 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
     }
 
     result = NULL;
-    lead_obj = PyLong_FromSsize_t(lead);
+    lead_obj = PyLong_FromSsize_t(lead + folds);
     if (lead_obj != NULL) {
         total = PyNumber_Add(inf, lead_obj);
         Py_DECREF(lead_obj);
@@ -231,15 +258,10 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
     }
 
     /* Shift all half-twist powers to the front: a factor passing one power
-     * of Delta is conjugated by the involution tau(p) = w0 . p . w0 (pi is
-     * free now and serves as scratch). */
+     * of Delta is conjugated by the involution tau(p) = w0 . p . w0. */
     for (Py_ssize_t j = m - 1; j >= 0; j--) {
-        if (dp & 1) {
-            p = raw + j * d;
-            for (int x = 0; x < d; x++)
-                pi[x] = d - 1 - p[d - 1 - x];
-            memcpy(p, pi, (size_t)d * sizeof(int));
-        }
+        if (dp & 1)
+            tau(raw + j * d, d);
         dp -= negative[j];
     }
 

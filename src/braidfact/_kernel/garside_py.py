@@ -33,6 +33,11 @@ strictly increases the left factor, so the loop terminates, and the
 left-weighted pair for a fixed product is unique.  Factors are appended
 on the right and combed backwards; once a comb step leaves the left
 factor unchanged the prefix is still left-weighted and the comb stops.
+A half twist that forms partway through the comb stops it too: it is
+folded into the Delta power where it forms, and the factors before it are
+conjugated by tau instead of each being passed by it one crossing at a
+time.  That tau is deferred until the comb next reaches a factor, or to
+the end, since each one builds a new list.
 
 This module must stay behaviourally identical to the compiled twin in
 _garside.c; tests/test_kernel.py holds both to a brute-force fixpoint
@@ -80,6 +85,11 @@ def _invert(p, d):
     return inv
 
 
+def _tau(p, d):
+    """tau(p) = w0 . p . w0, the conjugate of p by the half twist."""
+    return [d - 1 - v for v in p[::-1]]
+
+
 def _comb(d, inf, raw):
     """Left normal form of D^inf * raw[0] * raw[1] * ..., raw a list of
     permutation braids as mutable one-line lists (consumed in place)."""
@@ -91,8 +101,21 @@ def _comb(d, inf, raw):
     # pairs left-weighted from right to left gives the left normal form of
     # the product (the domino rule of greedy normal forms), so no second
     # pass is needed; a factor can only be absorbed at the tail.
+    #
+    # A half twist that forms at j is folded into the Delta power at once
+    # instead of being slid to the front one factor at a time:
+    # x_0..x_(j-1) Delta = Delta tau(x_0)..tau(x_(j-1)), tau is an
+    # automorphism, and by the domino rule the new seam (tau(x_(j-1)),
+    # x_(j+1)) is left-weighted, so the result is the one the slides give.
+    # The prefix's tau is deferred: owed holds each m whose factors[0..m]
+    # owe one tau relative to factors[m + 1] (a second tau cancels the
+    # first, hence ^=).  The comb pays a factor's debt when it reaches the
+    # factor and passes the rest down to m - 1, so owed never reaches the
+    # comb or the last factor, and dropping a factor shifts none of it;
+    # what is still owed at the end is paid from the right.
     factors = []
     inverses = []
+    owed = set()
     for p in raw:
         if p == identity:
             continue
@@ -100,15 +123,35 @@ def _comb(d, inf, raw):
         inverses.append(_invert(p, d))
         j = len(factors) - 2
         while j >= 0:
+            if j in owed:
+                factors[j] = _tau(factors[j], d)
+                inverses[j] = _tau(inverses[j], d)
+                owed.remove(j)
+                if j:
+                    owed ^= {j - 1}
             if not _fix_pair(factors[j], inverses[j], factors[j + 1], inverses[j + 1], d):
                 break
             if factors[j + 1] == identity:
                 factors.pop(j + 1)
                 inverses.pop(j + 1)
+            if factors[j] == w0:
+                del factors[j]
+                del inverses[j]
+                if j:
+                    owed ^= {j - 1}
+                inf += 1
+                break
             j -= 1
 
-    # Leading half twists join the Delta power; a left-weighted sequence
-    # has every half twist at its front.
+    if owed:
+        odd = False
+        for m in range(len(factors) - 1, -1, -1):
+            odd ^= m in owed
+            if odd:
+                factors[m] = _tau(factors[m], d)
+
+    # A half twist appended to an empty comb (or behind leading ones) meets
+    # no changed pair; it stays at the front and joins the Delta power here.
     lead = 0
     while lead < len(factors) and factors[lead] == w0:
         lead += 1
@@ -161,8 +204,7 @@ def normal_form(d, letters):
     dp = 0
     for j in range(len(raw) - 1, -1, -1):
         if dp & 1:
-            p = raw[j]
-            raw[j] = [d - 1 - p[d - 1 - x] for x in range(d)]
+            raw[j] = _tau(raw[j], d)
         dp += dpows[j]
 
     return _comb(d, dp, raw)

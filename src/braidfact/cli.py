@@ -4,7 +4,8 @@ Every subcommand is a pure function of its arguments and input files.
 Exit codes: 0 success / positive verdict, 1 negative verdict (unequal
 words, failed validation, nothing found, distinguished), 2 inconclusive
 (budget exhausted), 64 usage error, 65 malformed or unreadable input
-file.  ``--format=structured`` turns the compact result lines (nf, eq,
+file, or one that does not validate where a command needs it to (decide,
+pi1).  ``--format=structured`` turns the compact result lines (nf, eq,
 fulltwist, validate, order, arrangement, invariants, search's result=)
 into one key=value field per line; other output ignores it.
 """
@@ -35,7 +36,7 @@ from .complement import (
     zvk_presentation,
 )
 from .equivalence import SearchBudget, decide_equivalence, fingerprint, format_verdict
-from .errors import FormatError, SearchBudgetExceeded
+from .errors import FormatError, SearchBudgetExceeded, ValidationError
 from .factorization import (
     conjugate_all,
     format_factorization,
@@ -205,7 +206,7 @@ def _cmd_fingerprint(args) -> int:
     F = _load_factorization(args.file)
     try:
         fp = fingerprint(F, conjugacy_budget=args.conj_budget)
-    except ValueError:  # the only ValueError fingerprint raises: F does not validate
+    except ValidationError:
         print("error: factorization does not validate", file=sys.stderr)
         return 1
     pairs = [
@@ -233,7 +234,9 @@ def _cmd_decide(args) -> int:
     )
     try:
         verdict = decide_equivalence(F1, F2, budget)
-    except ValueError as e:
+    except ValidationError as e:  # a file is at fault, as for pi1
+        raise FormatError(str(e)) from None
+    except ValueError as e:  # budgets, strand counts or targets: the call is at fault
         raise _UsageError(str(e)) from None
     sys.stdout.write(format_verdict(verdict))
     return {"equivalent": 0, "distinguished": 1}.get(verdict.outcome, 2)

@@ -26,7 +26,7 @@ from .braid import (
     permutation_of,
     summit_key,
 )
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 from .factorization import (
     Factorization,
     conjugate_all,
@@ -56,7 +56,7 @@ class Fingerprint:
 def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
     """Compute the invariant fingerprint of a validated factorization."""
     if not validate(F).product_ok:
-        raise ValueError("factorization does not validate")
+        raise ValidationError("factorization does not validate")
     words = factor_words(F)
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
@@ -177,7 +177,9 @@ def decide_equivalence(
     factors are conjugated only by the braids a state's first factor hits,
     each braid at most once.  The first braid in enumeration order that
     matches is the conjugator.  An "equivalent" verdict is replayed and
-    verified factor by factor.
+    verified factor by factor.  Raises ValidationError (a ValueError) for
+    an input that does not validate, and ValueError for differing strand
+    counts or targets and for non-positive budgets.
     """
     if F1.strands != F2.strands:
         raise ValueError("strand counts differ")
@@ -188,7 +190,7 @@ def decide_equivalence(
     if budget.max_factor_nf_length is not None and budget.max_factor_nf_length <= 0:
         raise ValueError("budgets must be positive")
 
-    # fingerprint raises ValueError for an input that does not validate
+    # fingerprint raises ValidationError for an input that does not validate
     for field, v1, v2 in _fingerprint_fields(fingerprint(F1), fingerprint(F2)):
         if v1 != v2:
             return EquivalenceVerdict(

@@ -7,6 +7,10 @@ class FormatError(ValueError):
     """A text input does not conform to one of the documented file formats."""
 
 
+class ValidationError(ValueError):
+    """A factorization's factors do not multiply to its target."""
+
+
 class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of its node budget before finishing.
 

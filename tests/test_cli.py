@@ -287,6 +287,40 @@ def test_pi1_unusable_factorization_is_input_error(capsys, tmp_path):
         assert code == 65 and err.startswith("input error: ") and "Traceback" not in err
 
 
+def test_decide_non_validating_file_is_input_error(capsys, tmp_path, cubic_file, conic_file):
+    # well formed, but the two factors multiply to sigma_1^2, not the full
+    # twist of B_3: the file is at fault, as pi1 says for the same file
+    bad = tmp_path / "bad.fact"
+    bad.write_text("strands 3\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n")
+    for argv in (("decide", str(bad), str(bad)), ("decide", cubic_file, str(bad)), ("pi1", str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (65, ""), argv
+        assert err == "input error: factorization does not validate\n", argv
+    # the call's own faults stay usage errors
+    for argv in (
+        ("decide", cubic_file, cubic_file, "--max-states", "0"),
+        ("decide", cubic_file, cubic_file, "--conj-bound", "0"),
+        ("decide", cubic_file, cubic_file, "--nf-bound", "0"),
+        ("decide", cubic_file, conic_file),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "") and err.startswith("usage error: "), argv
+
+
+def test_python_m_braidfact_runs_the_cli():
+    src = str(Path(braidfact.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "braidfact", "nf", "3", "1 2 1"],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "inf=1 factors=\n", "")
+    done = subprocess.run(
+        [sys.executable, "-m", "braidfact", "nf", "0", "1"],
+        capture_output=True, text=True, timeout=30, env={"PYTHONPATH": src},
+    )
+    assert done.returncode == 64 and done.stderr.startswith("usage error: ")
+
+
 ONE_STRAND_CUSPIDAL = "strands 1\ntarget full_twist\nfactor s=1 rho=\n"
 
 

@@ -10,8 +10,10 @@ wherever a C compiler and Python.h exist, installed or not.
 import importlib.util
 import os
 import random
+import re
 import shlex
 import shutil
+import subprocess
 import sysconfig
 from pathlib import Path
 
@@ -22,14 +24,21 @@ from braidfact._kernel import garside_py
 C_SOURCE = Path(__file__).resolve().parents[1] / "src" / "braidfact" / "_kernel" / "_garside.c"
 
 
+def c_compiler():
+    """The C compiler command Python builds extensions with, as a list;
+    skips the calling test when it or Python.h is missing."""
+    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]})")
+    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
+        pytest.skip("Python.h not found")
+    return cc
+
+
 @pytest.fixture(scope="session")
 def compiled(tmp_path_factory):
     """The compiled twin, built from _garside.c into a temporary directory."""
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler ({cc})")
-    if not (Path(sysconfig.get_paths()["include"]) / "Python.h").exists():
-        pytest.skip("Python.h not found")
+    c_compiler()
     from setuptools import Distribution, Extension
     from setuptools.command.build_ext import build_ext
 
@@ -271,6 +280,79 @@ def test_negative_run_grown_back_to_the_half_twist(kernel):
             assert kernel.normal_form(d, word + [d - 1, 1]) == ref_normal_form(d, [d - 1, 1])
 
 
+def half_twist_fold_words(d):
+    """Positive words around the half twist whose comb forms Delta at slot
+    0, in the middle and at the tail of the factors combed so far."""
+    half = half_twist_letters(d)
+    mirror = [d - k for k in half]  # also Delta, but ending in sigma_(d-1)
+    words = [
+        [1] + half,  # Delta appended behind sigma_1: forms at slot 0 of 2
+        [1, 1, 1, 1] + half,  # forms at the tail, slot 3 of 5
+    ]
+    if d >= 4:
+        # Delta sigma_1^-1, then sigma_3 and sigma_3 sigma_1: the second
+        # sigma_1 slides left through sigma_3 into Delta sigma_1^-1
+        words.append(half[:-1] + [3, 3, 1])  # slot 0 of 3
+        words.append(mirror[:-1] + half[:-1] + [3, 3, 1])  # slot 1 of 4
+        words.append([2, 2] + mirror[:-1] + half[:-1] + [3, 3, 1, 2])  # slot 1 of 5
+    return words
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_half_twist_formed_in_the_comb(kernel, d):
+    for word in half_twist_fold_words(d):
+        for letters in (word, word + [d - 1, 1], [-1, -2] + word):
+            got = kernel.normal_form(d, letters)
+            assert got == ref_normal_form(d, letters), (d, letters)
+            assert_left_weighted(d, got[1])
+
+
+def test_alternating_word_in_b4(kernel):
+    # a half twist forms in the comb of almost every run of this word
+    for k in range(1, 13):
+        letters = [1, -2, 3, -1, 2, -3] * k
+        assert kernel.normal_form(4, letters) == ref_normal_form(4, letters), k
+
+
+def test_half_twists_fold_where_they_form(monkeypatch):
+    # Folding each half twist into the Delta power where it forms, instead
+    # of sliding it to the front one pair at a time, halves the pair combs
+    # of this word: 15,550 against 30,700.
+    calls = []
+    fix_pair = garside_py._fix_pair
+
+    def counting_fix_pair(*args):
+        calls.append(None)
+        return fix_pair(*args)
+
+    monkeypatch.setattr(garside_py, "_fix_pair", counting_fix_pair)
+    got = garside_py.normal_form(4, (1, -2, 3, -1, 2, -3) * 100)
+    assert got[0] == -100 and len(got[1]) == 200
+    assert len(calls) <= 16000
+
+
+@pytest.fixture(scope="module")
+def middle_half_twist_cases():
+    """Seeded (d, inf, factors, reference) in B_2..B_8, each factor list
+    two normal forms with one or two half twists between them."""
+    rng = random.Random(20261019)
+    cases = []
+    for d in range(2, 9):
+        w0 = tuple(range(d - 1, -1, -1))
+        for twists in (1, 1, 2):
+            head = ref_normal_form(d, random_word(rng, d, 8))[1]
+            tail = ref_normal_form(d, random_word(rng, d, 8))[1]
+            factors = list(head) + [w0] * twists + list(tail)
+            inf = rng.randint(-1, 1)
+            cases.append((d, inf, factors, ref_normal_form(d, factors_word(d, inf, factors))))
+    return cases
+
+
+def test_half_twist_factor_in_the_middle(kernel, middle_half_twist_cases):
+    for d, inf, factors, expected in middle_half_twist_cases:
+        assert kernel.normal_form_factors(d, inf, factors) == expected, (d, inf, factors)
+
+
 @pytest.fixture(scope="module")
 def long_words():
     """Seeded words in B_7 and B_8 of up to 176 letters, the word-problem
@@ -344,3 +426,17 @@ def test_pure_compiled_factor_parity(compiled):
         inf = rng.randint(-5, 5)
         got = compiled.normal_form_factors(d, inf, factors)
         assert got == garside_py.normal_form_factors(d, inf, factors), (d, inf, factors)
+
+
+def test_c_source_compiles_warning_free(tmp_path):
+    cc = c_compiler()
+    version = subprocess.run(cc + ["--version"], capture_output=True, text=True).stdout
+    if not re.search(r"\b(gcc|clang)\b|Free Software Foundation", version):
+        pytest.skip(f"{cc[0]} is neither gcc nor clang")
+    done = subprocess.run(
+        cc + ["-Wall", "-Wextra", "-Wpedantic", "-std=c99", "-Werror",
+              "-I", sysconfig.get_paths()["include"],
+              "-c", str(C_SOURCE), "-o", str(tmp_path / "_garside.o")],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
