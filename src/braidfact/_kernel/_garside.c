@@ -18,24 +18,23 @@
 static int
 fix_pair(int *a, int *ai, int *b, int *bi, int d)
 {
-    int changed = 0, moved = 1;
-    while (moved) {
-        moved = 0;
-        for (int i = 0; i < d - 1; i++) {
-            if (b[i] > b[i + 1] && ai[i] < ai[i + 1]) {
-                /* slide crossing i: a <- a * s_i, b <- s_i * b */
-                int x = ai[i], y = ai[i + 1], u = b[i];
-                a[x] = i + 1;
-                a[y] = i;
-                ai[i] = y;
-                ai[i + 1] = x;
-                b[i] = b[i + 1];
-                b[i + 1] = u;
-                bi[b[i]] = i;
-                bi[u] = i + 1;
-                moved = changed = 1;
-            }
-        }
+    int changed = 0, i = 0;
+    while (i < d - 1) {
+        if (b[i] > b[i + 1] && ai[i] < ai[i + 1]) {
+            /* slide crossing i: a <- a * s_i, b <- s_i * b */
+            int x = ai[i], y = ai[i + 1], u = b[i];
+            a[x] = i + 1;
+            a[y] = i;
+            ai[i] = y;
+            ai[i + 1] = x;
+            b[i] = b[i + 1];
+            b[i + 1] = u;
+            bi[b[i]] = i;
+            bi[u] = i + 1;
+            changed = 1;
+            i -= i > 0;  /* the slide condition changed only at i - 1, i, i + 1 */
+        } else
+            i++;
     }
     return changed;
 }

@@ -56,25 +56,25 @@ def _fix_pair(a, ai, b, bi, d):
     inverses, as mutable lists.  Returns True if a changed.
     """
     changed = False
-    moved = True
-    while moved:
-        moved = False
-        for i in range(d - 1):
-            if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
-                # slide crossing i: a <- a * s_i, b <- s_i * b
-                x = ai[i]
-                y = ai[i + 1]
-                a[x] = i + 1
-                a[y] = i
-                ai[i] = y
-                ai[i + 1] = x
-                u = b[i]
-                b[i] = b[i + 1]
-                b[i + 1] = u
-                bi[b[i]] = i
-                bi[u] = i + 1
-                moved = True
-                changed = True
+    i = 0
+    while i < d - 1:
+        if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
+            # slide crossing i: a <- a * s_i, b <- s_i * b
+            x = ai[i]
+            y = ai[i + 1]
+            a[x] = i + 1
+            a[y] = i
+            ai[i] = y
+            ai[i + 1] = x
+            u = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = u
+            bi[b[i]] = i
+            bi[u] = i + 1
+            changed = True
+            i -= i > 0  # the slide condition changed only at i - 1, i and i + 1
+        else:
+            i += 1
     return changed
 
 

@@ -17,8 +17,8 @@ Conventions used throughout the package:
   an inverse is exact and needs no kernel call, and a product moves the
   half-twist powers to the front and hands the factors themselves to the
   kernel's factor entry, which combs only where they do not already fit.
-  Words reach the kernel as letters, through nf_key, and appear only at
-  input and output.
+  Words appear only at input and output.  nf_key (on a word's letters),
+  nf_mul and nf_inv are each memoised on their own arguments.
 """
 
 from __future__ import annotations
@@ -251,6 +251,7 @@ def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d - 1 - y for y in reversed(images))
 
 
+@lru_cache(maxsize=1 << 17)
 def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the inverse of the braid with normal-form key (inf, factors).
 
@@ -269,26 +270,20 @@ def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 @lru_cache(maxsize=1 << 17)
-def _cached_product(
-    d: int, factors: tuple[tuple[int, ...], ...]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    return _kernel_normal_form_factors(d, 0, factors)
-
-
 def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the product of the braids with these keys, left to right.
 
     Every half-twist power moves to the front, and a factor passing D^n
     becomes tau^n of itself; then the factors go through the kernel's
-    factor entry, once.  nf_mul(d) is the identity (0, ()).
+    factor entry, once; a repeated product is a memo hit and does neither.
+    nf_mul(d) is the identity (0, ()).
     """
     total = right = sum(key[0] for key in keys)
     product: list[tuple[int, ...]] = []
     for inf, factors in keys:
         right -= inf
         product.extend(map(_tau, factors) if right % 2 else factors)
-    inf, factors = _cached_product(d, tuple(product))
-    return inf + total, factors
+    return _kernel_normal_form_factors(d, total, product)
 
 
 def nf_letters(d: int, key) -> tuple[int, ...]:

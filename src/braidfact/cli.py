@@ -78,6 +78,17 @@ def _strands(text: str) -> int:
     return d
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of a budget whose 0 means skip: an integer >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return n
+
+
 def _bool(x) -> str:
     return "true" if x else "false"
 
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument(
         "--conj-budget",
-        type=int,
+        type=_nonnegative,
         default=0,
         help="per-factor conjugacy work budget; 0 skips conjugacy keys (default 0)",
     )
@@ -389,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pi1", _cmd_pi1, "complement-group presentation of a factorization")
     p.add_argument("file")
     p.add_argument(
-        "--simplify", type=int, default=0, help="simplification budget; 0 leaves raw (default 0)"
+        "--simplify", type=_nonnegative, default=0, help="simplification budget; 0 leaves raw (default 0)"
     )
 
     p = add("homs", _cmd_homs, "homomorphisms of a presentation into S_n")

@@ -227,14 +227,14 @@ def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
     return sum(1 for _ in closure) == math.factorial(n)
 
 
+HOMS_MAX_N, HOMS_MAX_GENS = 7, 8  # caps of enumerate_homs: n of S_n, and generators
+
+
 def enumerate_homs(
     P: FinitePresentation,
     n: int,
     up_to_conjugacy: bool = True,
     epi_only: bool = False,
-    *,
-    max_n: int = 7,
-    max_gens: int = 8,
 ) -> list[SymmetricImage]:
     """All homomorphisms to S_n by backtracking, complete within the caps.
 
@@ -247,10 +247,10 @@ def enumerate_homs(
     a homomorphism is a homomorphism, so the first member of a class met is
     its least: it is kept and its conjugates are marked seen.
     """
-    if n < 1 or n > max_n:
-        raise ValueError(f"n must be in 1..{max_n}")
-    if P.ngens > max_gens:
-        raise ValueError(f"generator count exceeds cap {max_gens}")
+    if n < 1 or n > HOMS_MAX_N:
+        raise ValueError(f"n must be in 1..{HOMS_MAX_N}")
+    if P.ngens > HOMS_MAX_GENS:
+        raise ValueError(f"generator count exceeds cap {HOMS_MAX_GENS}")
     # 0-based image tuples in lexicographic order, each mapped to its inverse
     perms = itertools.permutations(range(n))
     inverse = {p: tuple(sorted(range(n), key=p.__getitem__)) for p in perms}

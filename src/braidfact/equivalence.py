@@ -133,11 +133,10 @@ def _orbit(d: int, start, nf_bound: int, max_states: int):
     """
 
     def moves(state, _):
-        inverses = [nf_inv(d, f) for f in state]
         for i in range(1, len(state)):
             a, b = state[i - 1], state[i]
-            left = (b, nf_mul(d, inverses[i], a, b))
-            right = (nf_mul(d, a, b, inverses[i - 1]), a)
+            left = (b, nf_mul(d, nf_inv(d, b), a, b))
+            right = (nf_mul(d, a, b, nf_inv(d, a)), a)
             for direction, moved in (("left", left), ("right", right)):
                 key = state[: i - 1] + moved + state[i + 1 :]
                 if all(len(pair[1]) <= nf_bound for pair in key):
@@ -208,14 +207,14 @@ def decide_equivalence(
     f1, f2 = canonical_key(F1), canonical_key(F2)
     index: dict[tuple, list] = {}
     for zkey, letters in islice(_braids(d, budget.conjugator_length_bound), budget.max_states):
-        zinv = nf_inv(d, zkey)
-        head = tuple(nf_mul(d, zkey, f, zinv) for f in f2[:1])
-        index.setdefault(head, []).append((zkey, zinv, letters))
+        head = tuple(nf_mul(d, zkey, f, nf_inv(d, zkey)) for f in f2[:1])
+        index.setdefault(head, []).append((zkey, letters))
     images: dict[tuple[int, ...], tuple] = {}  # letters -> F2 conjugated by them
 
     def conjugator_to(key):
-        for zkey, zinv, letters in index.get(key[:1], ()):
+        for zkey, letters in index.get(key[:1], ()):
             if letters not in images:
+                zinv = nf_inv(d, zkey)
                 images[letters] = key[:1] + tuple(nf_mul(d, zkey, f, zinv) for f in f2[1:])
             if images[letters] == key:
                 return letters

@@ -232,10 +232,9 @@ def search_factorization(
     index_by_s: dict[int, dict] = {s: {} for s in set(profile)}
     powers = {s: nf_key(BraidWord(d, (1,) * s)) for s in index_by_s}
     for zkey, letters in _braids(d, max_conjugator_length):
-        zinv = nf_inv(d, zkey)
         for s, index in index_by_s.items():
             budget.tick()
-            index.setdefault(nf_mul(d, zinv, powers[s], zkey), letters)
+            index.setdefault(nf_mul(d, nf_inv(d, zkey), powers[s], zkey), letters)
     steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
     for s, index in index_by_s.items():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from braidfact import braid
 from braidfact.braid import (
     BraidWord,
     Permutation,
@@ -335,6 +336,29 @@ def test_nf_inv_and_nf_mul_match_word_normal_forms():
             u, v, w = (rng.choice(words) for _ in range(3))
             product = BraidWord(d, u.letters + v.letters + w.letters)
             assert nf_mul(d, nf_key(u), nf_key(v), nf_key(w)) == nf_key(product), (u, v, w)
+
+
+def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):
+    # a repeated product makes no half-twist shift and no kernel call
+    d = 4
+    keys = (nf_key(BraidWord(d, (1, 2, -3, 2))), nf_key(BraidWord(d, (-1,))))
+    assert keys[1][0] % 2 and keys[0][1]  # the first key's factors pass an odd D-power
+    kernel, tau = braid._kernel_normal_form_factors, braid._tau
+    kernel_calls, tau_calls = [], []
+    monkeypatch.setattr(
+        braid, "_kernel_normal_form_factors", lambda *a: kernel_calls.append(a) or kernel(*a)
+    )
+    monkeypatch.setattr(braid, "_tau", lambda images: tau_calls.append(images) or tau(images))
+    nf_mul.cache_clear()
+    nf_inv.cache_clear()
+    product = nf_mul(d, *keys)
+    assert len(kernel_calls) == 1 and tau_calls
+    taus = len(tau_calls)
+    assert nf_mul(d, *keys) == product
+    assert len(kernel_calls) == 1 and len(tau_calls) == taus
+    assert nf_mul.cache_info().hits == 1
+    assert nf_inv(d, product) == nf_inv(d, product) == nf_key(invert(BraidWord(d, (1, 2, -3, 2, -1))))
+    assert nf_inv.cache_info().hits == 1
 
 
 def test_simple_steps_are_the_normalised_permutation_braids():

@@ -244,6 +244,15 @@ def test_order_nonpositive_budget_is_usage_error(capsys, tmp_path):
         assert err == "usage error: budget must be positive\n"
 
 
+def test_negative_skip_budgets_are_usage_errors(capsys, cubic_file):
+    # 0 skips the step; a negative value is refused like every other budget
+    for argv in (("pi1", cubic_file, "--simplify"), ("fingerprint", cubic_file, "--conj-budget")):
+        code, out, err = run(capsys, *argv, "-5")
+        assert (code, out) == (64, ""), argv
+        assert err.startswith("usage error: ") and "-5" in err, argv
+        assert run(capsys, *argv, "0")[0] == 0, argv
+
+
 def test_move_bad_index_is_usage_error(capsys, cubic_file):
     assert run(capsys, "move", cubic_file, "9")[0] == 64
     assert run(capsys, "move", cubic_file, "0")[0] == 64

@@ -8,6 +8,7 @@ wherever a C compiler and Python.h exist, installed or not.
 """
 
 import importlib.util
+import itertools
 import os
 import random
 import re
@@ -57,7 +58,6 @@ def compiled(tmp_path_factory):
 def ref_normal_form(d, letters):
     """Independent reference: bubble full passes to the left-weighted fixpoint."""
     w0 = list(range(d - 1, -1, -1))
-    ident = list(range(d))
     raw, dpows = [], []
     for k in letters:
         i = abs(k) - 1
@@ -79,7 +79,15 @@ def ref_normal_form(d, letters):
             p = raw[j]
             raw[j] = [d - 1 - p[d - 1 - x] for x in range(d)]
         dp += dpows[j]
+    return ref_comb(d, dp, raw)
 
+
+def ref_comb(d, inf, raw):
+    """Reference left normal form of D^inf * raw[0] * raw[1] * ..., raw a
+    list of permutation braids: slide the least movable crossing of each
+    pair, in full passes, until no pair changes."""
+    w0 = list(range(d - 1, -1, -1))
+    ident = list(range(d))
     factors = [list(p) for p in raw]
 
     def starting(p):
@@ -112,7 +120,7 @@ def ref_normal_form(d, letters):
     lead = 0
     while lead < len(factors) and factors[lead] == w0:
         lead += 1
-    return dp + lead, tuple(tuple(p) for p in factors[lead:])
+    return inf + lead, tuple(tuple(p) for p in factors[lead:])
 
 
 def perm_of(d, letters):
@@ -329,6 +337,16 @@ def test_half_twists_fold_where_they_form(monkeypatch):
     got = garside_py.normal_form(4, (1, -2, 3, -1, 2, -3) * 100)
     assert got[0] == -100 and len(got[1]) == 200
     assert len(calls) <= 16000
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_every_pair_of_permutation_braids(kernel, d):
+    # each comb step is one pair: every slide order must reach the one
+    # left-weighted pair, and the half twist or identity it may leave
+    perms = list(itertools.permutations(range(d)))
+    for a in perms:
+        for b in perms:
+            assert kernel.normal_form_factors(d, 0, [a, b]) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 @pytest.fixture(scope="module")
