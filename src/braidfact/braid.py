@@ -3,10 +3,10 @@
 Conventions used throughout the package:
 
 * Generators are numbered 1..d-1; a signed letter k denotes X_|k|^sign(k).
-* Permutations map {1..d} to itself and compose left to right:
-  (p * q)(x) = q(p(x)).  The permutation of a word applies its first letter
-  first, so permutation_of(compose(u, v)) equals
-  permutation_of(u) * permutation_of(v).
+* Permutations map {1..d} to itself, stored as the tuple of images of
+  1..d.  permutation_of(w) starts from the identity and swaps the images at
+  positions |k| and |k|+1 for each letter k of w in turn; nf_permutation
+  gives the same permutation from a normal-form key.
 * Normal forms are left greedy: w = D^inf . A_1 ... A_k where D is the half
   twist, each A_i is a permutation braid distinct from the identity and D,
   and every adjacent pair is left weighted.
@@ -48,34 +48,16 @@ class Permutation:
         if sorted(self.images) != list(range(1, d + 1)):
             raise ValueError(f"not a permutation of 1..{d}: {self.images!r}")
 
-    @staticmethod
-    def identity(d: int) -> Permutation:
-        return Permutation(tuple(range(1, d + 1)))
-
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def apply(self, x: int) -> int:
-        return self.images[x - 1]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        # left to right: apply self first, then other
-        if self.size != other.size:
-            raise ValueError("size mismatch in permutation product")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.size
-        for x, y in enumerate(self.images, start=1):
-            inv[y - 1] = x
-        return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its least element, sorted."""
+        images = self.images
         seen = [False] * self.size
         out = []
         for start in range(1, self.size + 1):
@@ -83,11 +65,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start - 1] = True
-            x = self.apply(start)
+            x = images[start - 1]
             while x != start:
                 cyc.append(x)
                 seen[x - 1] = True
-                x = self.apply(x)
+                x = images[x - 1]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return tuple(out)
@@ -137,10 +119,6 @@ class CanonicalForm:
     @property
     def canonical_length(self) -> int:
         return len(self.factors)
-
-    @property
-    def sup(self) -> int:
-        return self.inf + len(self.factors)
 
     def to_word(self) -> BraidWord:
         """A word equal to this form: the half twist inf times, then factors."""
@@ -325,6 +303,20 @@ def permutation_of(w: BraidWord) -> Permutation:
         i = abs(k) - 1
         images[i], images[i + 1] = images[i + 1], images[i]
     return Permutation(tuple(images))
+
+
+def nf_permutation(d: int, key) -> Permutation:
+    """permutation_of the braid with normal-form key (inf, factors)."""
+    inf, factors = key
+    # the map x -> image of x under D^inf, then A_1, ..., A_k (0-based) ...
+    images = range(d - 1, -1, -1) if inf % 2 else range(d)
+    for f in factors:
+        images = [f[x] for x in images]
+    # ... is the inverse of the permutation of the word D^inf A_1 ... A_k
+    inverse = [0] * d
+    for x, y in enumerate(images, start=1):
+        inverse[y] = x
+    return Permutation(tuple(inverse))
 
 
 def is_positive(w: BraidWord) -> bool:
@@ -526,14 +518,15 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
     return ConjugacyResult("conjugate", witness=witness, work=wb.used)
 
 
-def summit_key(w: BraidWord, budget: int):
-    """A conjugacy-invariant key: the least nf_key in the super summit set,
-    or None if the budget is exhausted before the set is closed."""
+def summit_key(d: int, key, budget: int):
+    """A conjugacy-invariant key of the braid in B_d with nf_key key: the least
+    nf_key in its super summit set, or None if the budget is exhausted before
+    the set is closed."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     wb = WorkBudget(budget)
     try:
-        key, _ = _summit(w.strands, nf_key(w), wb)
-        return min(member for member, _ in _super_summit_set(w.strands, key, wb))
+        key, _ = _summit(d, key, wb)
+        return min(member for member, _ in _super_summit_set(d, key, wb))
     except SearchBudgetExceeded:
         return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .braid import MAX_STRANDS, BraidWord, Permutation, bfs, equals, free_reduce, full_twist
 from .errors import FormatError
-from .factorization import CuspidalFactor, Factorization, validate
+from .factorization import Factorization, validate
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,16 @@ from .braid import (
     exponent_sum,
     format_word,
     nf_inv,
-    nf_key,
     nf_mul,
+    nf_permutation,
     parse_word,
-    permutation_of,
     summit_key,
 )
 from .errors import FormatError, ValidationError
 from .factorization import (
     Factorization,
+    canonical_key,
     conjugate_all,
-    factor_words,
     hurwitz_move,
     validate,
 )
@@ -54,35 +53,33 @@ class Fingerprint:
 
 
 def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
-    """Compute the invariant fingerprint of a validated factorization."""
+    """Compute the invariant fingerprint of a validated factorization.
+
+    Its exponent sum is the target's, which the factors' sum equals once F
+    validates."""
     if not validate(F).product_ok:
         raise ValidationError("factorization does not validate")
-    words = factor_words(F)
+    d = F.strands
+    factor_keys = canonical_key(F)
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
     )
-    cycle_types = tuple(sorted(permutation_of(w).cycle_type() for w in words))
+    cycle_types = tuple(sorted(nf_permutation(d, k).cycle_type() for k in factor_keys))
     keys = None
     if conjugacy_budget > 0:
         entries = []
-        for w in words:
-            k = summit_key(w, conjugacy_budget)
+        for fk in factor_keys:
+            k = summit_key(d, fk, conjugacy_budget)
             entries.append(("known", k) if k is not None else ("unknown",))
         keys = tuple(sorted(entries))
     return Fingerprint(
-        F.strands,
+        d,
         F.r,
-        sum(map(exponent_sum, words)),
+        exponent_sum(F.target),
         s_multiset,
         cycle_types,
         keys,
     )
-
-
-def canonical_key(F: Factorization) -> tuple:
-    """Hashable key equal exactly when factor tuples match braid by braid:
-    the nf_key of every factor word, in order."""
-    return tuple(nf_key(w) for w in factor_words(F))
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,6 @@ def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorizatio
 
 def _fingerprint_fields(a: Fingerprint, b: Fingerprint):
     yield "factor_count", a.factor_count, b.factor_count
-    yield "exponent_sum", a.exponent_sum, b.exponent_sum
     if a.s_multiset is not None and b.s_multiset is not None:
         yield "s_multiset", a.s_multiset, b.s_multiset
     yield "cycle_type_multiset", a.cycle_types, b.cycle_types

@@ -16,15 +16,15 @@ from .braid import (
     _braids,
     compose,
     conjugate,
-    equals,
+    exponent_sum,
     format_word,
     free_reduce,
     full_twist,
-    identity_word,
     invert,
     nf_inv,
     nf_key,
     nf_mul,
+    nf_permutation,
     parse_word,
 )
 from .errors import FormatError, WorkBudget
@@ -106,10 +106,22 @@ def factor_words(F: Factorization) -> tuple[BraidWord, ...]:
 
 
 def product_word(F: Factorization) -> BraidWord:
-    out = identity_word(F.strands)
-    for w in factor_words(F):
-        out = compose(out, w)
-    return out
+    return BraidWord(F.strands, tuple(k for w in factor_words(F) for k in w.letters))
+
+
+def _cusp_key(d: int, s: int, rho_key) -> tuple:
+    """nf_key of rho^-1 X_1^s rho, from the nf_key of rho."""
+    return nf_mul(d, nf_inv(d, rho_key), nf_key(BraidWord(d, (1,) * s)), rho_key)
+
+
+def canonical_key(F: Factorization) -> tuple:
+    """Hashable key equal exactly when factor tuples match braid by braid:
+    the nf_key of every factor braid, in order."""
+    d = F.strands
+    return tuple(
+        _cusp_key(d, f.s, nf_key(f.rho)) if isinstance(f, CuspidalFactor) else nf_key(f)
+        for f in F.factors
+    )
 
 
 def singularity_counts(F: Factorization) -> SingularityCounts | None:
@@ -121,12 +133,11 @@ def singularity_counts(F: Factorization) -> SingularityCounts | None:
 
 def validate(F: Factorization) -> ValidationReport:
     """Check the factor product against the target; never raises on failure."""
-    product_ok = equals(product_word(F), F.target)
+    product_ok = nf_mul(F.strands, *canonical_key(F)) == nf_key(F.target)
     counts = singularity_counts(F)
     exponent_ok = None
     if F.is_cuspidal:
-        d = F.strands
-        exponent_ok = sum(f.s for f in F.factors) == d * (d - 1)
+        exponent_ok = sum(f.s for f in F.factors) == exponent_sum(F.target)
     return ValidationReport(product_ok, counts, exponent_ok)
 
 
@@ -230,11 +241,10 @@ def search_factorization(
     # steps in that order, and the (min inf, max sup) of the keys.
     budget = WorkBudget(max_nodes)
     index_by_s: dict[int, dict] = {s: {} for s in set(profile)}
-    powers = {s: nf_key(BraidWord(d, (1,) * s)) for s in index_by_s}
     for zkey, letters in _braids(d, max_conjugator_length):
         for s, index in index_by_s.items():
             budget.tick()
-            index.setdefault(nf_mul(d, nf_inv(d, zkey), powers[s], zkey), letters)
+            index.setdefault(_cusp_key(d, s, zkey), letters)
     steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
     for s, index in index_by_s.items():
@@ -242,25 +252,14 @@ def search_factorization(
         stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
 
     def feasible(rest, remaining: tuple[int, ...]) -> bool:
-        # permutation of D^inf A_1 ... A_k, composed left to right
-        inf, factors = rest
-        images = tuple(range(d - 1, -1, -1)) if inf % 2 else tuple(range(d))
-        for f in factors:
-            images = tuple(f[x] for x in images)
-        cycles = 0
-        seen = [False] * d
-        for start in range(d):
-            if not seen[start]:
-                cycles += 1
-                x = start
-                while not seen[x]:
-                    seen[x] = True
-                    x = images[x]
         # a factor permutes by one transposition if s is odd, else trivially,
-        # and this permutation needs d - cycles transpositions.  Parities
-        # agree by themselves: rest's exponent sum is the remaining s sum.
+        # and rest's permutation needs d - (its cycle count) transpositions.
+        # Parities agree by themselves: rest's exponent sum is the remaining
+        # s sum.
+        cycles = len(nf_permutation(d, rest).cycle_type())
         if sum(1 for s in remaining if s % 2) < d - cycles:
             return False
+        inf, factors = rest
         lo = sum(stats_by_s[s][0] for s in remaining)
         hi = sum(stats_by_s[s][1] for s in remaining)
         return lo <= inf and inf + len(factors) <= hi

@@ -26,6 +26,7 @@ from braidfact.braid import (
     nf_inv,
     nf_key,
     nf_mul,
+    nf_permutation,
     normalized,
     parse_word,
     permutation_braid_letters,
@@ -279,9 +280,9 @@ def test_summit_key_is_conjugacy_invariant():
         d = rng.randint(3, 5)
         cases.append((rand_word(rng, d, rng.randint(1, 8)), rand_word(rng, d, rng.randint(1, 4))))
     for u, z in cases:
-        key = summit_key(u, 200000)
+        key = summit_key(u.strands, nf_key(u), 200000)
         assert key is not None
-        assert summit_key(conjugate(u, z), 200000) == key
+        assert summit_key(u.strands, nf_key(conjugate(u, z)), 200000) == key
         # the key is at the summit: no conjugate by a braid of length <= 2
         # has a larger inf or a smaller sup
         for c in enumerate_braids(u.strands, 2):
@@ -299,7 +300,7 @@ def test_conjugacy_reasons_name_the_separating_summit_value():
         u, v = BraidWord(4, u), BraidWord(4, v)
         res = conjugacy_test(u, v, 200000)
         assert (res.outcome, res.reason) == ("not_conjugate", reason)
-        assert summit_key(u, 200000) != summit_key(v, 200000)
+        assert summit_key(4, nf_key(u), 200000) != summit_key(4, nf_key(v), 200000)
 
 
 def test_conjugacy_input_checks():
@@ -336,6 +337,15 @@ def test_nf_inv_and_nf_mul_match_word_normal_forms():
             u, v, w = (rng.choice(words) for _ in range(3))
             product = BraidWord(d, u.letters + v.letters + w.letters)
             assert nf_mul(d, nf_key(u), nf_key(v), nf_key(w)) == nf_key(product), (u, v, w)
+
+
+def test_nf_permutation_is_the_permutation_of_the_word():
+    rng = random.Random(2718)
+    assert nf_permutation(1, (0, ())) == permutation_of(BraidWord(1))
+    for _ in range(400):
+        d = rng.randint(2, 6)
+        w = rand_word(rng, d, rng.randint(0, 12))
+        assert nf_permutation(d, nf_key(w)) == permutation_of(w), w
 
 
 def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):

@@ -72,6 +72,15 @@ def test_validate_failure_exits_one(capsys, tmp_path):
     assert code == 1 and "product_ok=false" in out
 
 
+def test_validate_exponent_checks_the_target(capsys, tmp_path):
+    # the s values sum to the target's exponent sum, here 1, not d(d - 1)
+    p = tmp_path / "generator.fact"
+    p.write_text("strands 2\ntarget word=1\nfactor s=1 rho=\n")
+    code, out, _ = run(capsys, "validate", "--format=structured", str(p))
+    assert code == 0
+    assert out == "product_ok=true\nn1=1\nn2=0\nn3=0\nexponent_ok=true\n"
+
+
 def test_nf_and_eq(capsys):
     code, out, _ = run(capsys, "nf", "3", "1 2 1")
     assert code == 0 and out == "inf=1 factors=\n"

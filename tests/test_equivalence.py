@@ -8,6 +8,7 @@ import pytest
 
 import braidfact.braid as braid
 import braidfact.equivalence as equivalence
+import braidfact.factorization as factorization
 from braidfact.braid import BraidWord, enumerate_braids, equals, full_twist, identity_word, invert
 from braidfact.cli import main
 from braidfact.equivalence import (
@@ -152,6 +153,22 @@ def test_decide_validates_each_input_once(monkeypatch):
     F2 = hurwitz_move(CUBIC, 1, "left")
     assert decide_equivalence(CUBIC, F2).outcome == "equivalent"
     assert len(calls) == 2
+
+
+def test_keyed_paths_build_no_factor_words(monkeypatch):
+    F2 = hurwitz_move(QUARTIC, 2, "right")
+
+    def word_path(*args):
+        raise AssertionError("a factor word was built")
+
+    for name in ("factor_word", "factor_words", "product_word"):
+        for module in (factorization, equivalence):
+            monkeypatch.setattr(module, name, word_path, raising=False)
+    assert validate(QUARTIC).ok
+    assert fingerprint(QUARTIC, conjugacy_budget=500) == fingerprint(F2, conjugacy_budget=500)
+    assert explore_orbit(CUBIC, 50)[0]
+    # one state, and F2 is not F1 conjugated, so no verdict is replayed
+    assert decide_equivalence(QUARTIC, F2, SearchBudget(max_states=1)).outcome == "inconclusive"
 
 
 def test_decide_draws_at_most_max_states_conjugators(monkeypatch):

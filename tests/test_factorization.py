@@ -15,15 +15,16 @@ from braidfact.braid import (
     full_twist,
     identity_word,
     invert,
-    nf_inv,
     nf_key,
     nf_mul,
 )
 from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
+    _cusp_key,
     _orderings,
     Factorization,
+    canonical_key,
     conjugate_all,
     factor_word,
     factor_words,
@@ -50,6 +51,9 @@ def cuspidal(d, *pairs):
 
 CONIC = cuspidal(2, ((), 1), ((), 1))
 CUBIC = cuspidal(3, ((), 1), ((-2,), 1), ((2,), 1), ((), 3))
+QUARTIC = cuspidal(
+    4, ((-2, -3), 1), ((-2, -1), 1), ((2, 3), 1), ((), 3), ((-2,), 3), ((-2, -2), 3)
+)
 
 
 def rand_cuspidal(rng, d, r):
@@ -79,9 +83,25 @@ def test_factor_key_is_the_conjugated_power_key():
         for max_len in range(3):
             for key, word in _braids(d, max_len):
                 for s in (1, 2, 3):
-                    power = nf_key(BraidWord(d, (1,) * s))
                     factor = factor_word(CuspidalFactor(BraidWord(d, word), s))
-                    assert nf_mul(d, nf_inv(d, key), power, key) == nf_key(factor), (word, s)
+                    assert _cusp_key(d, s, key) == nf_key(factor), (word, s)
+
+
+def test_keys_and_validate_agree_with_the_word_path():
+    # the word path (factor_words, product_word) is the reference
+    cases = []
+    for F in (CONIC, CUBIC, QUARTIC):
+        d = F.strands
+        cases += [F, hurwitz_move(F, 1, "left"), conjugate_all(F, BraidWord(d, (d - 1, -1, -1)))]
+    corrupted = list(CUBIC.factors)
+    corrupted[1] = CuspidalFactor(BraidWord(3, (1,)), 1)
+    cases.append(Factorization(3, corrupted, full_twist(3)))
+    cases.append(parse_factorization("strands 3\ntarget full_twist\nfactor word=1 2 1\nfactor word=2 1 2\n"))
+    cases.append(parse_factorization("strands 3\ntarget full_twist\n"))
+    for F in cases:
+        assert canonical_key(F) == tuple(nf_key(w) for w in factor_words(F)), F
+        assert validate(F).product_ok == equals(product_word(F), F.target), F
+    assert {validate(F).product_ok for F in cases} == {True, False}
 
 
 def test_conic_validates():
