@@ -8,6 +8,7 @@ together with a target braid that the factor product must equal.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .braid import (
@@ -156,9 +157,11 @@ def hurwitz_move(F: Factorization, i: int, direction: str) -> Factorization:
         raise IndexError(f"move index {i} out of range 1..{F.r - 1}")
     a = F.factors[i - 1]
     b = F.factors[i]
-    wa = factor_word(a) if isinstance(a, CuspidalFactor) else a
-    wb = factor_word(b) if isinstance(b, CuspidalFactor) else b
-    f, g = (b, invert(wa)) if direction == "right" else (a, wb)
+    # only the word of the factor the other one is moved past
+    f, h = (b, a) if direction == "right" else (a, b)
+    g = factor_word(h) if isinstance(h, CuspidalFactor) else h
+    if direction == "right":
+        g = invert(g)
     if isinstance(f, CuspidalFactor):
         moved = CuspidalFactor(BraidWord(F.strands, free_reduce(compose(f.rho, g).letters)), f.s)
     else:
@@ -202,6 +205,18 @@ def _orderings(profile: tuple[int, ...]):
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
+def _pair_table(d: int, first: dict, second: dict, budget: WorkBudget) -> dict:
+    """Each product k·k' of a key of first and a key of second, to the least
+    (rho, rho') pair of their conjugators; first-major in index order, one
+    budget tick per product."""
+    table: dict = {}
+    for key, rho in first.items():
+        for key2, rho2 in second.items():
+            budget.tick()
+            table.setdefault(nf_mul(d, key, key2), (rho, rho2))
+    return table
+
+
 def search_factorization(
     d: int,
     profile,
@@ -218,8 +233,14 @@ def search_factorization(
     lexicographically, then conjugator candidate indices slot by slot.
     A node holds only the braid that the later slots must multiply to, and
     each slot tries each distinct factor braid once, by least candidate index.
-    Raises SearchBudgetExceeded when max_nodes runs out, which is distinct
-    from returning None (nothing within bounds).
+    The last slot is an exact lookup.  The last two slots, with s-values
+    (s, s'), loop over the s-keys until that pair has looped |S_s'| times
+    (S_s: the distinct factor braids for s); then a table of all |S_s|·|S_s'|
+    products, each to its least index pair, makes every later visit one
+    lookup, and returns the pair the loop would.  Each table product is a
+    node, so max_nodes bounds the table too.  Raises SearchBudgetExceeded
+    when max_nodes runs out, which is distinct from returning None (nothing
+    within bounds).
     """
     if d < 1:
         raise ValueError("strand count must be >= 1")
@@ -264,26 +285,40 @@ def search_factorization(
         hi = sum(stats_by_s[s][1] for s in remaining)
         return lo <= inf and inf + len(factors) <= hi
 
+    # A remainder that fails for a suffix of s-values fails for it in every
+    # ordering, so dead states are keyed on (suffix, rest) and shared.  A
+    # loop over the last two slots costs |S_s| products and their table
+    # |S_s|·|S_s'|, so a pair's table is built once its loops cost as much.
+    dead: set = set()
+    loops: Counter = Counter()
+    tables: dict[tuple[int, ...], dict] = {}
+
+    def rec(tail: tuple[int, ...], rest) -> tuple | None:
+        # conjugator letters for slots of s-values tail whose factors multiply to rest
+        budget.tick()
+        if len(tail) == 1:  # the last slot is an exact lookup
+            rho = index_by_s[tail[0]].get(rest)
+            return None if rho is None else (rho,)
+        if tail in tables:
+            return tables[tail].get(rest)
+        state = (tail, rest)
+        if state not in dead and feasible(rest, tail):
+            if len(tail) == 2:
+                s, t = tail
+                loops[tail] += 1
+                if loops[tail] > len(index_by_s[t]):
+                    tables[tail] = _pair_table(d, index_by_s[s], index_by_s[t], budget)
+                    return tables[tail].get(rest)
+            for rho, key_inv in steps_by_s[tail[0]]:
+                found = rec(tail[1:], nf_mul(d, key_inv, rest))
+                if found is not None:
+                    return (rho,) + found
+        dead.add(state)
+        return None
+
     for seq in _orderings(profile):
-        dead: set = set()
-
-        def rec(j: int, rest) -> tuple | None:
-            # conjugator letters for slots j.. whose factors multiply to rest
-            budget.tick()
-            if j == len(seq) - 1:  # the last slot is an exact lookup
-                rho = index_by_s[seq[j]].get(rest)
-                return None if rho is None else (rho,)
-            state = (j, rest)
-            if state not in dead and feasible(rest, seq[j:]):
-                for rho, key_inv in steps_by_s[seq[j]]:
-                    tail = rec(j + 1, nf_mul(d, key_inv, rest))
-                    if tail is not None:
-                        return (rho,) + tail
-            dead.add(state)
-            return None
-
         # the full twist is D^2, as d >= 2 (d = 1 has only the empty profile)
-        choice = rec(0, (2, ()))
+        choice = rec(seq, (2, ()))
         if choice is not None:
             factors = tuple(CuspidalFactor(BraidWord(d, rho), s) for rho, s in zip(choice, seq))
             F = Factorization(d, factors, target)

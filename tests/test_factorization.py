@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from braidfact.braid import (
     nf_key,
     nf_mul,
 )
+from braidfact import factorization
 from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
@@ -271,16 +273,60 @@ def test_search_empty_profile_rejected_unless_trivial():
 
 def first_factorization_brute_force(d, profile, bound):
     """The documented search order, walked without pruning: s-sequences
-    ascending, then candidate index tuples lexicographically."""
+    ascending, then candidate index tuples lexicographically.  A candidate
+    whose factor braid an earlier candidate already gives is skipped: the
+    least index with the same braid keeps the product and makes the tuple no
+    larger, so the least tuple uses least indices only."""
     cands = enumerate_braids(d, bound)
     target = nf_key(full_twist(d))
     for seq in sorted(set(itertools.permutations(profile))):
-        keys = [[nf_key(factor_word(CuspidalFactor(rho, s))) for rho in cands] for s in seq]
-        for choice in itertools.product(range(len(cands)), repeat=len(seq)):
-            if nf_mul(d, *(keys[j][i] for j, i in enumerate(choice))) == target:
-                factors = tuple(CuspidalFactor(cands[i], s) for i, s in zip(choice, seq))
+        firsts = []
+        for s in seq:
+            index = {}
+            for rho in cands:
+                index.setdefault(nf_key(factor_word(CuspidalFactor(rho, s))), rho)
+            firsts.append(list(index.items()))
+        for product, choice in _tuples(d, firsts, (0, ())):
+            if product == target:
+                factors = tuple(CuspidalFactor(rho, s) for rho, s in zip(choice, seq))
                 return Factorization(d, factors, full_twist(d))
     return None
+
+
+def _tuples(d, firsts, key):
+    """(product key, conjugators) of every tuple of (key, conjugator) pairs,
+    one from each list in turn, lexicographically."""
+    if not firsts:
+        yield key, ()
+        return
+    for k, rho in firsts[0]:
+        for product, rest in _tuples(d, firsts[1:], nf_mul(d, key, k)):
+            yield product, (rho,) + rest
+
+
+@pytest.fixture
+def pair_tables(monkeypatch):
+    """The (|first|, |second|, nodes used) of each table of last-two-slot
+    products that a search builds."""
+    built = []
+    build = factorization._pair_table
+
+    def spy(d, first, second, budget):
+        built.append((len(first), len(second), budget.used))
+        return build(d, first, second, budget)
+
+    monkeypatch.setattr(factorization, "_pair_table", spy)
+    return built
+
+
+def assert_matches_brute_force(d, profile, bound):
+    expected = first_factorization_brute_force(d, profile, bound)
+    F = search_factorization(d, profile, bound)
+    if expected is None:
+        assert F is None
+    else:
+        assert F is not None
+        assert format_factorization(F) == format_factorization(expected)
 
 
 @pytest.mark.parametrize(
@@ -297,13 +343,41 @@ def first_factorization_brute_force(d, profile, bound):
     ],
 )
 def test_search_matches_brute_force_order(profile, bound):
-    expected = first_factorization_brute_force(3, profile, bound)
-    F = search_factorization(3, profile, bound)
-    if expected is None:
-        assert F is None
-    else:
-        assert F is not None
-        assert format_factorization(F) == format_factorization(expected)
+    assert_matches_brute_force(3, profile, bound)
+
+
+@pytest.mark.parametrize(
+    "profile, bound, tables",
+    [
+        ((3, 3, 3, 3), 1, 0),  # nothing found
+        ((3, 3, 3, 3), 2, 1),  # nothing found
+        ((3, 3, 2, 2, 2), 1, 1),  # nothing found
+        ((3, 3, 3, 2, 1), 1, 3),  # nothing found
+    ],
+)
+def test_search_with_pair_tables_matches_brute_force_order(pair_tables, profile, bound, tables):
+    assert_matches_brute_force(4, profile, bound)
+    assert len(pair_tables) == tables  # how many last-two-slot tables were built
+
+
+def test_search_builds_a_table_only_past_the_loops_cost(pair_tables):
+    # the cuspidal cubic at bound 4 never loops 32 times over one pair of
+    # last two slots, so it never builds a 32 x 32 table
+    assert search_factorization(3, (3, 1, 1, 1), 4) is not None
+    assert pair_tables == []
+    # the two-cusp quartic at bound 2 does, with 12 keys per s-value
+    assert search_factorization(4, (3, 3) + (1,) * 6, 2) is not None
+    assert [(n, m) for n, m, _ in pair_tables] == [(12, 12)]
+
+
+def test_search_table_build_respects_the_node_budget(pair_tables):
+    assert search_factorization(4, (3, 3, 2, 2, 2), 1) is None
+    [(_, _, switch)] = pair_tables
+    # a budget that runs out inside the table's 3 x 3 products
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        search_factorization(4, (3, 3, 2, 2, 2), 1, max_nodes=switch + 4)
+    assert exc.value.nodes == switch + 5  # the node past the limit is counted
+    assert pair_tables[1][2] == switch  # the build had started
 
 
 def test_orderings_distinct_and_ascending():
@@ -324,6 +398,15 @@ def test_search_two_cusp_quartic_profile_witness():
         (1, ()), (1, ()), (1, ()), (1, (-2, -3)), (1, (-2, -1)), (1, (2, 3)),
         (3, (2,)), (3, (2, -1)),
     ]
+
+
+def test_search_three_cusp_quartic_control():
+    # the stored quartic file is the bound-2 search's witness
+    stored = Path(__file__).parents[1] / "perfbench" / "data" / "quartic_three_cusp.fact"
+    expected = parse_factorization(stored.read_text(encoding="utf-8"))
+    F = search_factorization(4, (3, 3, 3, 1, 1, 1), 2)
+    assert F is not None
+    assert format_factorization(F) == format_factorization(expected)
 
 
 def test_search_budget_exhaustion_raises():
