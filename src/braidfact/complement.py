@@ -227,6 +227,31 @@ def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
     return sum(1 for _ in closure) == math.factorial(n)
 
 
+def _class_minima(n: int) -> list[tuple[int, ...]]:
+    """The least 0-based permutation of each cycle type in S_n.
+
+    Built greedily: the least image of the next point closes its cycle
+    when a cycle of that length is still wanted, so the least permutation
+    of a type is its cycles as consecutive rotations, shortest first.
+    """
+
+    def partitions(rest: int, least: int):
+        if rest == 0:
+            yield ()
+        for k in range(least, rest + 1):
+            for tail in partitions(rest - k, k):
+                yield (k, *tail)
+
+    minima = []
+    for lengths in partitions(n, 1):
+        p: list[int] = []
+        for k in lengths:
+            a = len(p)
+            p += [*range(a + 1, a + k), a]
+        minima.append(tuple(p))
+    return minima
+
+
 HOMS_MAX_N, HOMS_MAX_GENS = 7, 8  # caps of enumerate_homs: n of S_n, and generators
 
 
@@ -238,14 +263,15 @@ def enumerate_homs(
 ) -> list[SymmetricImage]:
     """All homomorphisms to S_n by backtracking, complete within the caps.
 
-    Generator images are chosen in lexicographic order; each relator is
-    checked as soon as all its generators are assigned.  With
-    up_to_conjugacy only the least representative of each simultaneous
-    conjugacy class is returned; with epi_only only images generating S_n.
-
-    Complete assignments are met in lexicographic order, and a conjugate of
-    a homomorphism is a homomorphism, so the first member of a class met is
-    its least: it is kept and its conjugates are marked seen.
+    Every simultaneous conjugacy class of homomorphisms has a member whose
+    first generator maps to the least permutation of its cycle type, so
+    generator 1 ranges over those class minima only (one per cycle type)
+    and the others over all of S_n in lexicographic order; each relator is
+    checked as soon as all its generators are assigned.  A new complete
+    assignment is grown into its class by the n! conjugations, and whether
+    it generates S_n is decided once per class.  With up_to_conjugacy the
+    least member of each class is returned, otherwise every member; with
+    epi_only only images generating S_n.  The result is sorted by images.
     """
     if n < 1 or n > HOMS_MAX_N:
         raise ValueError(f"n must be in 1..{HOMS_MAX_N}")
@@ -260,7 +286,7 @@ def enumerate_homs(
 
     images: list[tuple[int, ...]] = []
     seen: set = set()
-    out: list[SymmetricImage] = []
+    found: list[tuple[tuple[tuple[int, ...], ...], bool]] = []
 
     def holds(word: tuple[int, ...]) -> bool:
         # trace each point through the letters; stop at the first that moves
@@ -278,45 +304,80 @@ def enumerate_homs(
             tup = tuple(images)
             if tup in seen:
                 return
-            if up_to_conjugacy:
-                seen.update(
-                    tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup)
-                    for c, c_inv in inverse.items()
-                )
+            # a conjugate of a homomorphism is a homomorphism
+            cls = {
+                tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup)
+                for c, c_inv in inverse.items()
+            }
+            seen.update(cls)
             epi = _generates_full(tup, n)
             if epi or not epi_only:
-                out.append(
-                    SymmetricImage(n, tuple(Permutation(tuple(x + 1 for x in p)) for p in tup), epi)
-                )
+                found.extend((h, epi) for h in ([min(cls)] if up_to_conjugacy else cls))
             return
         words = by_last_gen.get(g, ())
-        for p in inverse:
+        for p in _class_minima(n) if g == 1 else inverse:
             images.append(p)
             if all(map(holds, words)):
                 assign(g + 1)
             images.pop()
 
     assign(1)
-    return out
+    found.sort()
+    return [
+        SymmetricImage(n, tuple(Permutation(tuple(x + 1 for x in p)) for p in tup), epi)
+        for tup, epi in found
+    ]
 
 
 # ---------------------------------------------------------------------------
 # coset enumeration (HLT with a row budget and one lookahead sweep)
 
 
+def _abelian_rank(P: FinitePresentation) -> int:
+    """Rank over Q of the relators' exponent-sum matrix.
+
+    Below `P.ngens` exactly when the abelianization, and so the group, is
+    infinite.  Integer-only elimination: each relator's row is reduced
+    against the pivot rows kept so far (keyed by leading generator) and
+    kept as a new pivot if anything is left.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for r in P.relators:
+        row: dict[int, int] = {}
+        for l in r.letters:
+            row[abs(l)] = row.get(abs(l), 0) + (1 if l > 0 else -1)
+        while row := {g: e for g, e in row.items() if e}:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            # cancel the leading entry, then divide out the content to keep entries small
+            a, b = pivot[lead], row[lead]
+            row = {g: a * row.get(g, 0) - b * pivot.get(g, 0) for g in row.keys() | pivot.keys()}
+            content = math.gcd(*row.values()) or 1
+            row = {g: e // content for g, e in row.items()}
+    return len(pivots)
+
+
 def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
     """Exact group order by coset enumeration, or None within the budget.
 
-    Enumerates cosets of the trivial subgroup HLT-style: relators are
-    scanned at every live coset and gaps are filled by defining new cosets,
-    up to `budget` rows ever defined.  On budget exhaustion one lookahead
-    sweep makes deductions without definitions.  A returned integer is
-    exact: the final table is complete and verified against every relator.
+    A group whose abelianization is infinite (`_abelian_rank` below the
+    generator count) is infinite, and no coset table of it can close, so
+    it gives None at once, whatever the budget.  Otherwise cosets of the
+    trivial subgroup are enumerated HLT-style: relators are scanned at
+    every live coset and gaps are filled by defining new cosets, up to
+    `budget` rows ever defined.  On budget exhaustion one lookahead sweep
+    makes deductions without definitions.  A returned integer is exact:
+    the final table is complete and verified against every relator.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     if P.ngens == 0:
         return 1
+    if _abelian_rank(P) < P.ngens:
+        return None
     ncols = 2 * P.ngens
     relators = [r.letters for r in P.relators if r.letters]
 

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,17 @@ def test_order_unknown_is_inconclusive(capsys, tmp_path):
     pres.write_text(TREFOIL_PRES)
     code, out, _ = run(capsys, "order", str(pres), "--budget", "500")
     assert code == 2 and out == "order=unknown\n"
+
+
+def test_order_of_a_wide_free_factor_is_unknown_at_once(capsys, tmp_path):
+    # 1024 generators, relators x_1 .. x_1023: the group is Z, and the
+    # exponent-sum rank shows it before any coset table is built
+    pres = tmp_path / "wide.pres"
+    pres.write_text("1024\n" + "".join(f"{i}\n" for i in range(1, 1024)))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "order", str(pres))
+    assert code == 2 and out == "order=unknown\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_arrangement_output(capsys):

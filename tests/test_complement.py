@@ -6,10 +6,12 @@ import random
 
 import pytest
 
-from braidfact.braid import BraidWord, full_twist
+from braidfact.braid import BraidWord, Permutation, full_twist
 from braidfact.complement import (
     FinitePresentation,
     FreeWord,
+    _abelian_rank,
+    _class_minima,
     artin_action,
     enumerate_homs,
     format_homs,
@@ -206,6 +208,29 @@ def naive_class_min(images, n):
     return min(out)
 
 
+def assert_homs_match_naive(P, n):
+    homs = naive_homs(P, n)
+    epi = {h: naive_generates(h, n) for h in homs}
+    minima = [h for h in homs if h == naive_class_min(h, n)]
+    for up_to_conjugacy, epi_only in itertools.product((False, True), repeat=2):
+        want = [h for h in (minima if up_to_conjugacy else homs) if epi[h] or not epi_only]
+        got = enumerate_homs(P, n, up_to_conjugacy=up_to_conjugacy, epi_only=epi_only)
+        case = (P, n, up_to_conjugacy, epi_only)
+        assert [tuple(p.images for p in h.images) for h in got] == want, case
+        assert [h.epi for h in got] == [epi[h] for h in want], case
+        assert all(h.n == n for h in got), case
+
+
+def random_presentation(rng, ngens, min_relators, max_relators):
+    return FinitePresentation(
+        ngens,
+        tuple(
+            FreeWord(tuple(rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(1, 5))))
+            for _ in range(rng.randint(min_relators, max_relators))
+        ),
+    )
+
+
 def test_enumerate_homs_matches_naive_product():
     rng = random.Random(3)
     presentations = [
@@ -215,25 +240,21 @@ def test_enumerate_homs_matches_naive_product():
         FinitePresentation(2, ()),
         FinitePresentation(0, ()),
     ]
-    for _ in range(10):
-        ngens = rng.randint(1, 2)
-        rel = tuple(
-            FreeWord(tuple(rng.choice([1, -1]) * rng.randint(1, ngens) for _ in range(rng.randint(1, 5))))
-            for _ in range(rng.randint(0, 2))
-        )
-        presentations.append(FinitePresentation(ngens, rel))
+    presentations += [random_presentation(rng, rng.randint(1, 2), 0, 2) for _ in range(10)]
+    # three generators, at least one relator so the naive census stays small
+    presentations += [random_presentation(rng, 3, 1, 3) for _ in range(6)]
     for P in presentations:
         for n in (1, 2, 3, 4):
-            homs = naive_homs(P, n)
-            epi = {h: naive_generates(h, n) for h in homs}
-            minima = [h for h in homs if h == naive_class_min(h, n)]
-            for up_to_conjugacy, epi_only in itertools.product((False, True), repeat=2):
-                want = [h for h in (minima if up_to_conjugacy else homs) if epi[h] or not epi_only]
-                got = enumerate_homs(P, n, up_to_conjugacy=up_to_conjugacy, epi_only=epi_only)
-                case = (P, n, up_to_conjugacy, epi_only)
-                assert [tuple(p.images for p in h.images) for h in got] == want, case
-                assert [h.epi for h in got] == [epi[h] for h in want], case
-                assert all(h.n == n for h in got), case
+            assert_homs_match_naive(P, n)
+    assert_homs_match_naive(simplify(zvk_presentation(QUARTIC_THREE_CUSP), 100), 5)
+
+
+def test_class_minima_are_the_least_of_each_cycle_type():
+    for n in range(1, 7):
+        least = {}
+        for p in itertools.permutations(range(n)):
+            least.setdefault(Permutation(tuple(x + 1 for x in p)).cycle_type(), p)
+        assert sorted(_class_minima(n)) == sorted(least.values()), n
 
 
 def test_enumerate_homs_conjugacy_classes():
@@ -283,6 +304,35 @@ def test_group_order_infinite_returns_none():
     assert group_order(FinitePresentation(2, (FreeWord((1, 2, -1, -2)),)), budget=2000) is None
 
 
+def test_abelian_rank_hand_computed_cases():
+    # infinite abelianization: the rank is below the generator count, and
+    # group_order answers None whatever the budget
+    for P, rank in (
+        (TREFOIL, 1),
+        (FinitePresentation(2, ()), 0),
+        (zvk_presentation(CONIC_LINE), 2),
+    ):
+        assert _abelian_rank(P) == rank < P.ngens, P
+        assert group_order(P) is None
+        assert group_order(P, budget=1) is None
+    # full rank: the order comes from the coset table as before
+    for P, order in ((S3_PRES, 6), (QUATERNION, 8), (METACYCLIC_12, 12)):
+        assert _abelian_rank(P) == P.ngens == 2
+        assert group_order(P) == order
+    # elimination over Q: rows (2, 4) and (3, 6) are dependent, (2, 4, 0) and (0, 0, 5) are not
+    a, b, c = FreeWord((1, 1, 2, 2, 2, 2)), FreeWord((1,) * 3 + (2,) * 6), FreeWord((3,) * 5)
+    assert _abelian_rank(FinitePresentation(2, (a, b))) == 1
+    assert _abelian_rank(FinitePresentation(3, (a, c))) == 2
+
+
+def test_group_order_infinite_with_finite_abelianization_exhausts_budget():
+    # Z/2 * Z/3 is infinite with abelianization Z/6: full rank, so the
+    # coset enumeration runs and runs out
+    P = FinitePresentation(2, (FreeWord((1, 1)), FreeWord((2, 2, 2))))
+    assert _abelian_rank(P) == 2
+    assert group_order(P, budget=2000) is None
+
+
 def test_group_order_budget_starvation_is_none_not_wrong():
     assert group_order(METACYCLIC_12, budget=3) is None
 
@@ -312,6 +362,15 @@ def test_three_cusp_quartic_group_has_order_12():
     P = zvk_presentation(QUARTIC_THREE_CUSP)
     assert group_order(P) == 12
     assert simplify(P).ngens == 2
+
+
+def test_three_cusp_quartic_s6_census():
+    # measured by the full product search: 10 classes, 1,216 homs, no epimorphism
+    Q = simplify(zvk_presentation(QUARTIC_THREE_CUSP), 100)
+    assert len(enumerate_homs(Q, 6)) == 10
+    assert len(enumerate_homs(Q, 6, up_to_conjugacy=False)) == 1216
+    assert enumerate_homs(Q, 6, epi_only=True) == []
+    assert enumerate_homs(Q, 6, up_to_conjugacy=False, epi_only=True) == []
 
 
 def test_hom_counts_invariant_under_hurwitz_moves():
