@@ -2,11 +2,12 @@
  *
  * Same contract and conventions as braidfact._kernel.garside_py, written
  * directly against the CPython API: normal_form(d, letters) folds the word
- * into runs of letters that stay one permutation braid, and it and
- * normal_form_factors(d, inf, factors) share one comb; every letter and
- * image tuple is validated (ValueError for values out of range), and
- * tests/test_kernel.py holds both entries to the pure twin and to a
- * brute-force reference.  setup.py builds it as an optional extension.
+ * into runs of letters that stay one permutation braid, and
+ * normal_form_factors(d, keys) multiplies normal-form keys (inf, factors)
+ * left to right; both entries share one Delta shift and one comb.  Every
+ * letter, key and image tuple is validated (ValueError for values out of
+ * range), and tests/test_kernel.py holds both entries to the pure twin and
+ * to a brute-force reference.  setup.py builds it as an optional extension.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -65,6 +66,21 @@ tau(int *p, int d)
         int u = d - 1 - p[y];
         p[y] = d - 1 - p[x];
         p[x] = u;
+    }
+}
+
+/* Move every Delta power of Delta^p_0 raw_0 Delta^p_1 raw_1 ... Delta^t to
+ * the front: a factor passing Delta^n becomes tau^n of itself, so only
+ * parities matter here; odd[j] is that of p_j, odd_trailing that of t.  The
+ * caller keeps the total power. */
+static void
+shift(int *raw, const char *odd, Py_ssize_t n, int odd_trailing, int d)
+{
+    int dp = odd_trailing;
+    for (Py_ssize_t j = n - 1; j >= 0; j--) {
+        if (dp)
+            tau(raw + j * d, d);
+        dp ^= odd[j];
     }
 }
 
@@ -245,6 +261,7 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
         if (m == 0 || (pi[i] < pi[i + 1]) != (k > 0)) {
             p = raw + m * d;
             negative[m++] = k < 0;
+            dp -= k < 0;
             for (x = 0; x < d; x++)
                 p[x] = pi[x] = k > 0 ? x : d - 1 - x;
         }
@@ -256,14 +273,8 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
         pi[i + 1] = x;
     }
 
-    /* Shift all half-twist powers to the front: a factor passing one power
-     * of Delta is conjugated by the involution tau(p) = w0 . p . w0. */
-    for (Py_ssize_t j = m - 1; j >= 0; j--) {
-        if (dp & 1)
-            tau(raw + j * d, d);
-        dp -= negative[j];
-    }
-
+    /* Each run opened by an inverse letter carries one Delta^-1. */
+    shift(raw, negative, m, 0, d);
     inf = PyLong_FromLong(dp);
     if (inf != NULL) {
         result = comb(d, inf, raw, m);
@@ -279,58 +290,104 @@ done:
 }
 
 PyDoc_STRVAR(normal_form_factors_doc,
-"normal_form_factors(d, inf, factors)\n--\n\n"
-"Left normal form of Delta^inf * F_1 * ... * F_n, each F_i a permutation\n"
-"braid given by its images of range(d) (the identity and Delta allowed).");
+"normal_form_factors(d, keys)\n--\n\n"
+"Left normal form of the product of keys (inf, factors), left to right,\n"
+"each (inf, factors) the braid Delta^inf * F_1 * ... * F_n, each F_i a\n"
+"permutation braid given by its images of range(d) (the identity and\n"
+"Delta allowed).");
 
 static PyObject *
 normal_form_factors(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    int d;
-    PyObject *inf_arg, *factors, *inf, *seq = NULL, *result = NULL;
+    int d, pending = 0;
+    PyObject *keys, *it, *key, *rows = NULL, *odds = NULL, *total, *result = NULL;
     Py_ssize_t n;
     int *raw = NULL;
-    char *seen = NULL;
+    char *odd = NULL, *seen = NULL;
 
-    if (!PyArg_ParseTuple(args, "iOO:normal_form_factors", &d, &inf_arg, &factors))
+    if (!PyArg_ParseTuple(args, "iO:normal_form_factors", &d, &keys))
         return NULL;
     if (d < 1) {
         PyErr_SetString(PyExc_ValueError, "strand count must be >= 1");
         return NULL;
     }
-    inf = PyNumber_Index(inf_arg);
-    if (inf == NULL)
+    it = PyObject_GetIter(keys);
+    if (it == NULL)
         return NULL;
-    seq = PySequence_List(factors);  /* a new list, private to this call */
-    if (seq == NULL)
+    total = PyLong_FromLong(0);
+    rows = PyList_New(0);
+    odds = PyList_New(0);
+    if (total == NULL || rows == NULL || odds == NULL)
         goto done;
-    n = PyList_GET_SIZE(seq);
 
     /* Every factor becomes a tuple of length d before anything of size
-     * n * d is allocated. */
-    for (Py_ssize_t j = 0; j < n; j++) {
-        PyObject *f = PyList_GET_ITEM(seq, j);
-        PyObject *t = PySequence_Tuple(f);
-        if (t == NULL)
+     * n * d is allocated.  Each key's inf is summed whole, and its parity
+     * is carried by the key's first factor, or by the next key's if it has
+     * none; pending holds the parity not yet carried. */
+    while ((key = PyIter_Next(it)) != NULL) {
+        PyObject *pair = PySequence_Fast(key, "key is not an (inf, factors) pair");
+        PyObject *inf, *sum, *fit, *f;
+        Py_DECREF(key);
+        if (pair == NULL)
             goto done;
-        if (PyTuple_GET_SIZE(t) != d) {
-            PyErr_Format(PyExc_ValueError,
-                         "factor %R is not a permutation of range(%d)", f, d);
-            Py_DECREF(t);
+        if (PySequence_Fast_GET_SIZE(pair) != 2) {
+            PyErr_Format(PyExc_ValueError, "key %R is not an (inf, factors) pair", pair);
+            Py_DECREF(pair);
             goto done;
         }
-        PyList_SET_ITEM(seq, j, t);
-        Py_DECREF(f);
+        inf = PyNumber_Index(PySequence_Fast_GET_ITEM(pair, 0));
+        fit = inf == NULL ? NULL : PyObject_GetIter(PySequence_Fast_GET_ITEM(pair, 1));
+        Py_DECREF(pair);
+        if (fit == NULL) {
+            Py_XDECREF(inf);
+            goto done;
+        }
+        sum = PyNumber_Add(total, inf);
+        pending ^= (int)(PyLong_AsUnsignedLongMask(inf) & 1);  /* inf mod 2^k */
+        Py_DECREF(inf);
+        if (sum == NULL) {
+            Py_DECREF(fit);
+            goto done;
+        }
+        Py_DECREF(total);
+        total = sum;
+        while ((f = PyIter_Next(fit)) != NULL) {
+            PyObject *t = PySequence_Tuple(f);
+            int bad = t == NULL;
+            if (!bad && PyTuple_GET_SIZE(t) != d) {
+                PyErr_Format(PyExc_ValueError,
+                             "factor %R is not a permutation of range(%d)", f, d);
+                bad = 1;
+            }
+            Py_DECREF(f);
+            if (!bad)
+                bad = PyList_Append(rows, t) < 0
+                      || PyList_Append(odds, pending ? Py_True : Py_False) < 0;
+            Py_XDECREF(t);
+            if (bad) {
+                Py_DECREF(fit);
+                goto done;
+            }
+            pending = 0;
+        }
+        Py_DECREF(fit);
+        if (PyErr_Occurred())
+            goto done;
     }
+    if (PyErr_Occurred())
+        goto done;
+    n = PyList_GET_SIZE(rows);
 
     raw = alloc_ints(n, d);
+    odd = PyMem_Malloc((size_t)(n > 0 ? n : 1));
     seen = PyMem_Malloc((size_t)d);
-    if (raw == NULL || seen == NULL) {
+    if (raw == NULL || odd == NULL || seen == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t j = 0; j < n; j++) {
-        PyObject *t = PyList_GET_ITEM(seq, j);
+        PyObject *t = PyList_GET_ITEM(rows, j);
+        odd[j] = PyList_GET_ITEM(odds, j) == Py_True;
         memset(seen, 0, (size_t)d);
         for (int x = 0; x < d; x++) {
             int overflow;
@@ -349,14 +406,19 @@ normal_form_factors(PyObject *Py_UNUSED(self), PyObject *args)
 
     if (d == 1)  /* the half twist of B_1 is the identity */
         result = Py_BuildValue("(i())", 0);
-    else
-        result = comb(d, inf, raw, n);
+    else {
+        shift(raw, odd, n, pending, d);
+        result = comb(d, total, raw, n);
+    }
 
 done:
     PyMem_Free(raw);
+    PyMem_Free(odd);
     PyMem_Free(seen);
-    Py_XDECREF(seq);
-    Py_DECREF(inf);
+    Py_XDECREF(rows);
+    Py_XDECREF(odds);
+    Py_XDECREF(total);
+    Py_DECREF(it);
     return result;
 }
 

@@ -17,15 +17,15 @@ letters in reading order.  Under this convention
   - a pair (a, b) is left-weighted iff starting(b) is contained in
     finishing(a).
 
-The kernel has two entries on one comb.  normal_form takes a signed
-letter word and folds it into runs, each one permutation braid: a letter
-joins the current run while it adds a crossing (sigma_i) or cancels one
-(sigma_i^-1), else it opens the next run, and the half-twist powers of
-runs opened by inverse letters move to the front.  normal_form_factors
-takes a half-twist power and whole permutation braids, so a product of
-normal forms is combed only where its factors do not already fit (the
+The kernel has two entries on one shift and one comb.  normal_form
+takes a signed letter word and folds it into runs, each one permutation
+braid: a letter joins the current run while it adds a crossing (sigma_i)
+or cancels one (sigma_i^-1), else it opens the next run, with a Delta^-1
+before it if the letter is inverse.  normal_form_factors takes normal-form
+keys (inf, factors), each inf before the key's first factor, so a product
+of normal forms is combed only where its factors do not already fit (the
 right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9).
+ch. 9).  _shift moves every Delta power to the front.
 
 The comb slides one crossing at a time from the front of a factor to the
 back of its left neighbour until every pair is left-weighted; each slide
@@ -88,6 +88,17 @@ def _invert(p, d):
 def _tau(p, d):
     """tau(p) = w0 . p . w0, the conjugate of p by the half twist."""
     return [d - 1 - v for v in p[::-1]]
+
+
+def _shift(d, raw, powers, trailing):
+    """Move the powers of D^powers[0] raw[0] D^powers[1] raw[1] ... D^trailing
+    to the front: a factor passing D^n becomes tau^n of itself.  Returns the sum."""
+    dp = trailing
+    for j in range(len(raw) - 1, -1, -1):
+        if dp & 1:
+            raw[j] = _tau(raw[j], d)
+        dp += powers[j]
+    return dp
 
 
 def _comb(d, inf, raw):
@@ -199,34 +210,32 @@ def normal_form(d, letters):
         pi[i] = y
         pi[i + 1] = x
 
-    # Shift all half-twist powers to the front: a factor passing one power
-    # of Delta is conjugated by the involution tau(p) = w0 . p . w0.
-    dp = 0
-    for j in range(len(raw) - 1, -1, -1):
-        if dp & 1:
-            raw[j] = _tau(raw[j], d)
-        dp += dpows[j]
-
-    return _comb(d, dp, raw)
+    return _comb(d, _shift(d, raw, dpows, 0), raw)
 
 
-def normal_form_factors(d, inf, factors):
-    """Left normal form of D^inf * F_1 * ... * F_n.
+def normal_form_factors(d, keys):
+    """Left normal form of the product of keys, left to right.
 
-    Each F_i is a permutation braid given as the one-line notation of its
-    permutation of range(d); it may be the identity or the half twist.
-    Returns (inf, factors) exactly as normal_form does.
+    Each key is a pair (inf, factors) for D^inf * F_1 * ... * F_n, each F_i
+    a permutation braid given as the one-line notation of its permutation
+    of range(d); it may be the identity or the half twist.  Returns
+    (inf, factors) exactly as normal_form does.
     """
     if d < 1:
         raise ValueError("strand count must be >= 1")
-    inf = index(inf)
     identity = list(range(d))
     raw = []
-    for f in factors:
-        p = list(f)
-        if sorted(p) != identity:
-            raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
-        raw.append(p)
+    powers = []
+    power = 0  # carried by the next factor, or trailing if none follows
+    for inf, factors in keys:
+        power += index(inf)
+        for f in factors:
+            p = list(f)
+            if sorted(p) != identity:
+                raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
+            raw.append(p)
+            powers.append(power)
+            power = 0
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity
-    return _comb(d, inf, raw)
+    return _comb(d, _shift(d, raw, powers, power), raw)

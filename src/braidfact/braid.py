@@ -14,9 +14,9 @@ Conventions used throughout the package:
   factor the 0-based image tuple of a permutation braid (nf_key).  The
   search loops here and in factorization and equivalence hold braids as
   these pairs and form products and inverses only with nf_mul and nf_inv:
-  an inverse is exact and needs no kernel call, and a product moves the
-  half-twist powers to the front and hands the factors themselves to the
-  kernel's factor entry, which combs only where they do not already fit.
+  an inverse is exact and needs no kernel call, and a product hands the
+  keys themselves to the kernel's factor entry, which moves the half-twist
+  powers to the front and combs only where the factors do not already fit.
   Words appear only at input and output.  nf_key (on a word's letters),
   nf_mul and nf_inv are each memoised on their own arguments.
 """
@@ -223,12 +223,6 @@ def nf_key(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return _cached_nf(w.strands, w.letters)
 
 
-def _tau(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugation of a permutation braid (0-based images) by the half twist."""
-    d = len(images)
-    return tuple(d - 1 - y for y in reversed(images))
-
-
 @lru_cache(maxsize=1 << 17)
 def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the inverse of the braid with normal-form key (inf, factors).
@@ -251,17 +245,11 @@ def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the product of the braids with these keys, left to right.
 
-    Every half-twist power moves to the front, and a factor passing D^n
-    becomes tau^n of itself; then the factors go through the kernel's
-    factor entry, once; a repeated product is a memo hit and does neither.
+    One call of the kernel's factor entry, which moves the half-twist powers
+    to the front; a repeated product is a memo hit and makes no call.
     nf_mul(d) is the identity (0, ()).
     """
-    total = right = sum(key[0] for key in keys)
-    product: list[tuple[int, ...]] = []
-    for inf, factors in keys:
-        right -= inf
-        product.extend(map(_tau, factors) if right % 2 else factors)
-    return _kernel_normal_form_factors(d, total, product)
+    return _kernel_normal_form_factors(d, keys)
 
 
 def nf_letters(d: int, key) -> tuple[int, ...]:
@@ -431,24 +419,24 @@ def _summit(d: int, key, budget: WorkBudget):
     phase's repeat point is already extreme.
     """
     budget.tick()
-    zkey = (0, ())
+    z = []  # the conjugators, as keys whose product is z
     for cycling in (True, False):
         seen = {key}
         while key[1]:
             inf, factors = key
             budget.tick()
-            a = factors[0] if cycling else factors[-1]
-            step = _tau(a) if inf % 2 else a
-            if cycling:  # conjugate by step: D^inf A_2 ... A_k step
-                key = nf_mul(d, (inf, factors[1:] + (step,)))
-                zkey = nf_mul(d, zkey, (0, (step,)))
-            else:  # conjugate by A_k^-1: D^inf step A_1 ... A_k-1
-                key = nf_mul(d, (inf, (step,) + factors[:-1]))
-                zkey = nf_mul(d, zkey, nf_inv(d, (0, (a,))))
+            if cycling:  # conjugate by tau^inf(A_1) = D^inf A_1 D^-inf
+                step = [(inf, factors[:1]), (-inf, ())]
+                key = nf_mul(d, (inf, factors[1:]), *step)  # D^inf A_2 ... A_k tau^inf(A_1)
+            else:  # conjugate by A_k^-1: A_k D^inf A_1 ... A_k-1
+                last = (0, factors[-1:])
+                step = [nf_inv(d, last)]
+                key = nf_mul(d, last, (inf, factors[:-1]))
+            z += step
             if key in seen:
                 break
             seen.add(key)
-    return key, zkey
+    return key, nf_mul(d, *z)
 
 
 def _super_summit_set(d: int, key, budget: WorkBudget):

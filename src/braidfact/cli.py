@@ -224,7 +224,7 @@ def _cmd_fingerprint(args) -> int:
         ("strands", fp.strands),
         ("factors", fp.factor_count),
         ("exponent_sum", fp.exponent_sum),
-        ("s_multiset", ",".join(str(s) for s in fp.s_multiset) if fp.s_multiset else "none"),
+        ("s_multiset", "none" if fp.s_multiset is None else ",".join(map(str, fp.s_multiset))),
         ("cycle_types", ";".join(",".join(str(i) for i in t) for t in fp.cycle_types)),
     ]
     if fp.conjugacy_keys is not None:

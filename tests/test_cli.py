@@ -145,6 +145,15 @@ def test_fingerprint_fields(capsys, cubic_file):
     assert out.splitlines()[-1] == "conj_keys=0:1.3.2;0:1.3.2;0:1.3.2;0:1.3.2-1.3.2-1.3.2"
 
 
+@pytest.mark.parametrize("strands, target", [(1, "full_twist"), (3, "word=")])
+def test_fingerprint_of_no_factors_is_cuspidal(capsys, tmp_path, strands, target):
+    fact = tmp_path / "empty.fact"
+    fact.write_text(f"strands {strands}\ntarget {target}\n")
+    assert run(capsys, "validate", str(fact)) == (0, "product_ok=true n1=0 n2=0 n3=0\n", "")
+    code, out, _ = run(capsys, "fingerprint", str(fact))
+    assert code == 0 and "s_multiset=\n" in out
+
+
 def test_fingerprint_validates_once(capsys, monkeypatch, cubic_file, tmp_path):
     calls = []
 

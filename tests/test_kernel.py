@@ -346,7 +346,7 @@ def test_every_pair_of_permutation_braids(kernel, d):
     perms = list(itertools.permutations(range(d)))
     for a in perms:
         for b in perms:
-            assert kernel.normal_form_factors(d, 0, [a, b]) == ref_comb(d, 0, [a, b]), (a, b)
+            assert kernel.normal_form_factors(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 @pytest.fixture(scope="module")
@@ -368,7 +368,7 @@ def middle_half_twist_cases():
 
 def test_half_twist_factor_in_the_middle(kernel, middle_half_twist_cases):
     for d, inf, factors, expected in middle_half_twist_cases:
-        assert kernel.normal_form_factors(d, inf, factors) == expected, (d, inf, factors)
+        assert kernel.normal_form_factors(d, [(inf, factors)]) == expected, (d, inf, factors)
 
 
 @pytest.fixture(scope="module")
@@ -405,18 +405,80 @@ def factor_cases():
 
 def test_factors_against_reference(kernel, factor_cases):
     for d, inf, factors, expected in factor_cases:
-        got = kernel.normal_form_factors(d, inf, factors)
+        got = kernel.normal_form_factors(d, [(inf, factors)])
         assert got == expected, (d, inf, factors)
         assert_left_weighted(d, got[1])
-    assert kernel.normal_form_factors(4, 0, []) == (0, ())
-    assert kernel.normal_form_factors(4, -2, [(0, 1, 2, 3)]) == (-2, ())
-    assert kernel.normal_form_factors(4, -1, [(3, 2, 1, 0)] * 3) == (2, ())
+    assert kernel.normal_form_factors(4, []) == (0, ())
+    assert kernel.normal_form_factors(4, [(0, [])]) == (0, ())
+    assert kernel.normal_form_factors(4, [(-2, [(0, 1, 2, 3)])]) == (-2, ())
+    assert kernel.normal_form_factors(4, [(-1, [(3, 2, 1, 0)] * 3)]) == (2, ())
 
 
 @pytest.mark.parametrize("factor", [(0, 1), (0, 1, 2, 3), (0, 0, 2), (0, 1, 3), (-1, 0, 1)])
 def test_malformed_factor_raises(kernel, factor):
     with pytest.raises(ValueError):
-        kernel.normal_form_factors(3, 0, [(1, 0, 2), factor])
+        kernel.normal_form_factors(3, [(0, [(1, 0, 2), factor])])
+
+
+def tau(f):
+    """The conjugate of a permutation braid by the half twist."""
+    return tuple(len(f) - 1 - y for y in reversed(f))
+
+
+def one_key(keys):
+    """The product of keys as one key: every half-twist power moved to the
+    front, a factor passing D^n becoming tau^n of itself."""
+    total = right = sum(inf for inf, _ in keys)
+    factors = []
+    for inf, fs in keys:
+        right -= inf
+        factors.extend(map(tau, fs) if right % 2 else fs)
+    return total, factors
+
+
+@pytest.fixture(scope="module")
+def multi_key_cases():
+    """Seeded (d, keys) in B_1..B_7: keys with no factors first, in the
+    middle and last, negative infs, identity and half-twist factors, and
+    infs of 2**70."""
+    rng = random.Random(20261019)
+    cases = []
+    for j in range(300):
+        d = 1 + j % 7
+        keys = [(rng.randint(-3, 3), random_factors(rng, d)) for _ in range(rng.randint(0, 4))]
+        slot = rng.randint(0, len(keys))
+        keys.insert(slot, (rng.choice((-1, 0, 1, 2**70, -(2**70) + 1)), []))
+        cases.append((d, keys))
+    return cases
+
+
+def test_multi_key_product(kernel, multi_key_cases):
+    # sigma_1 Delta = Delta sigma_2
+    assert kernel.normal_form_factors(3, [(0, [(1, 0, 2)]), (1, [])]) == (1, ((0, 2, 1),))
+    for d, keys in multi_key_cases:
+        got = kernel.normal_form_factors(d, keys)
+        assert got == kernel.normal_form_factors(d, [one_key(keys)]), (d, keys)
+        if all(abs(inf) < 4 for inf, _ in keys):
+            letters = [k for inf, fs in keys for k in factors_word(d, inf, fs)]
+            assert got == (ref_normal_form(d, letters) if d > 1 else (0, ())), (d, keys)
+
+
+@pytest.mark.parametrize(
+    "key, error",
+    [
+        (5, TypeError),  # not a pair
+        ((0,), ValueError),
+        ((0, [], 1), ValueError),
+        ((1.0, []), TypeError),  # a non-integer inf
+        (("1", [(0, 1, 2)]), TypeError),
+        ((0, 5), TypeError),  # factors not iterable
+        ((0, [(0, 1)]), ValueError),  # a factor of the wrong length
+        ((0, [(0, 2, 2)]), ValueError),  # a repeated image
+    ],
+)
+def test_malformed_key_raises(kernel, key, error):
+    with pytest.raises(error):
+        kernel.normal_form_factors(3, [(1, [(1, 0, 2)]), key])
 
 
 def test_letter_out_of_range_raises(kernel):
@@ -442,8 +504,8 @@ def test_pure_compiled_factor_parity(compiled):
         d = rng.randint(1, 8)
         factors = random_factors(rng, d)
         inf = rng.randint(-5, 5)
-        got = compiled.normal_form_factors(d, inf, factors)
-        assert got == garside_py.normal_form_factors(d, inf, factors), (d, inf, factors)
+        got = compiled.normal_form_factors(d, [(inf, factors)])
+        assert got == garside_py.normal_form_factors(d, [(inf, factors)]), (d, inf, factors)
 
 
 def test_c_source_compiles_warning_free(tmp_path):
