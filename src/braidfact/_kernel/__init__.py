@@ -8,14 +8,14 @@ import os
 
 from . import garside_py
 
-_impl = garside_py
-if os.environ.get("BRAIDFACT_PURE", "") not in ("1", "true", "yes"):
-    try:
-        from . import _garside as _compiled
+try:
+    from . import _garside as _compiled
+except ImportError:
+    _compiled = None
 
-        _impl = _compiled
-    except ImportError:
-        pass
+_impl = garside_py
+if _compiled is not None and os.environ.get("BRAIDFACT_PURE", "") not in ("1", "true", "yes"):
+    _impl = _compiled
 
 IMPL_NAME = _impl.IMPL_NAME
 normal_form = _impl.normal_form
@@ -24,11 +24,4 @@ normal_form_factors = _impl.normal_form_factors
 
 def implementations():
     """All available kernel implementations, for parity tests and benchmarks."""
-    impls = [garside_py]
-    try:
-        from . import _garside as compiled
-
-        impls.append(compiled)
-    except ImportError:
-        pass
-    return impls
+    return [garside_py] if _compiled is None else [garside_py, _compiled]

@@ -3,10 +3,11 @@
 Conventions used throughout the package:
 
 * Generators are numbered 1..d-1; a signed letter k denotes X_|k|^sign(k).
-* Permutations map {1..d} to itself, stored as the tuple of images of
-  1..d.  permutation_of(w) starts from the identity and swaps the images at
-  positions |k| and |k|+1 for each letter k of w in turn; nf_permutation
-  gives the same permutation from a normal-form key.
+* Permutations are the kernel's: a 0-based image tuple whose entry x is
+  the position where strand x ends, the letters read left to right.
+  permutation_of(w) is the image of w in S_d, nf_permutation the same
+  permutation from a normal-form key; the permutation of a permutation
+  braid's word is that braid's factor tuple.
 * Normal forms are left greedy: w = D^inf . A_1 ... A_k where D is the half
   twist, each A_i is a permutation braid distinct from the identity and D,
   and every adjacent pair is left weighted.
@@ -38,56 +39,6 @@ MAX_STRANDS = 1024
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """Bijection of {1..d}, stored as the tuple of images of 1, 2, ..., d."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.images)
-        if sorted(self.images) != list(range(1, d + 1)):
-            raise ValueError(f"not a permutation of 1..{d}: {self.images!r}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images, start=1))
-
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Nontrivial cycles, each starting at its least element, sorted."""
-        images = self.images
-        seen = [False] * self.size
-        out = []
-        for start in range(1, self.size + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = images[start - 1]
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = images[x - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Partition of d by cycle lengths, fixed points included, descending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths += [1] * (self.size - sum(lengths))
-        return tuple(sorted(lengths, reverse=True))
-
-    def cycle_notation(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
-
-
-@dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of B_d; not stored freely reduced."""
 
@@ -108,37 +59,13 @@ class BraidWord:
         return len(self.letters)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Left-greedy normal form: half-twist power plus permutation braids."""
-
-    strands: int
-    inf: int
-    factors: tuple[Permutation, ...]
-
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
-    def to_word(self) -> BraidWord:
-        """A word equal to this form: the half twist inf times, then factors."""
-        pair = (self.inf, tuple(p.images for p in self.factors))
-        return BraidWord(self.strands, nf_letters(self.strands, pair))
-
-
-def permutation_braid_letters(p: Permutation) -> tuple[int, ...]:
-    """Positive word for the permutation braid of p (one letter per inversion)."""
-    return _simple_letters(p.images)
-
-
 @lru_cache(maxsize=1 << 16)
 def _simple_letters(images: tuple[int, ...]) -> tuple[int, ...]:
     """Positive word for the permutation braid with these images.
 
     Bubble sort by adjacent position swaps; recording swap indices in the
     order performed yields a reduced word composing left to right to the
-    permutation.  Only images are compared, so 0-based and 1-based image
-    tuples give the same word.
+    permutation.
     """
     v = list(images)
     out = []
@@ -260,13 +187,7 @@ def nf_letters(d: int, key) -> tuple[int, ...]:
     return power + tuple(k for images in factors for k in _simple_letters(images))
 
 
-def canonical_form(w: BraidWord) -> CanonicalForm:
-    inf, factors = nf_key(w)
-    return CanonicalForm(
-        w.strands,
-        inf,
-        tuple(Permutation(tuple(x + 1 for x in f)) for f in factors),
-    )
+canonical_form = nf_key  # the public name of the normal-form key
 
 
 def normalized(w: BraidWord) -> BraidWord:
@@ -284,27 +205,48 @@ def exponent_sum(w: BraidWord) -> int:
     return sum(1 if k > 0 else -1 for k in w.letters)
 
 
-def permutation_of(w: BraidWord) -> Permutation:
-    """Image under B_d -> S_d, X_i -> (i, i+1), first letter applied first."""
-    images = list(range(1, w.strands + 1))
+def permutation_of(w: BraidWord) -> tuple[int, ...]:
+    """Image under B_d -> S_d, X_i -> (i, i+1): entry x is where strand x ends."""
+    strand_at = list(range(w.strands))
     for k in w.letters:
         i = abs(k) - 1
-        images[i], images[i + 1] = images[i + 1], images[i]
-    return Permutation(tuple(images))
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    return tuple(sorted(range(w.strands), key=strand_at.__getitem__))
 
 
-def nf_permutation(d: int, key) -> Permutation:
-    """permutation_of the braid with normal-form key (inf, factors)."""
+def nf_permutation(d: int, key) -> tuple[int, ...]:
+    """permutation_of the braid with normal-form key (inf, factors): strand x
+    goes through D^inf, then A_1, ..., A_k."""
     inf, factors = key
-    # the map x -> image of x under D^inf, then A_1, ..., A_k (0-based) ...
     images = range(d - 1, -1, -1) if inf % 2 else range(d)
     for f in factors:
         images = [f[x] for x in images]
-    # ... is the inverse of the permutation of the word D^inf A_1 ... A_k
-    inverse = [0] * d
-    for x, y in enumerate(images, start=1):
-        inverse[y] = x
-    return Permutation(tuple(inverse))
+    return tuple(images)
+
+
+def cycles(images: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Nontrivial cycles of a permutation, each starting at its least element, sorted."""
+    seen = set()
+    out = []
+    for start in range(len(images)):
+        if start in seen:
+            continue
+        cyc = [start]
+        x = images[start]
+        while x != start:
+            cyc.append(x)
+            x = images[x]
+        seen.update(cyc)
+        if len(cyc) > 1:
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths, fixed points included, descending: a partition of len(images)."""
+    lengths = [len(c) for c in cycles(images)]
+    lengths += [1] * (len(images) - sum(lengths))
+    return tuple(sorted(lengths, reverse=True))
 
 
 def is_positive(w: BraidWord) -> bool:
@@ -479,7 +421,7 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         raise ValueError("budget must be positive")
     if exponent_sum(u) != exponent_sum(v):
         return ConjugacyResult("not_conjugate", reason="exponent_sum")
-    if permutation_of(u).cycle_type() != permutation_of(v).cycle_type():
+    if cycle_type(permutation_of(u)) != cycle_type(permutation_of(v)):
         return ConjugacyResult("not_conjugate", reason="permutation_cycle_type")
     if equals(u, v):
         return ConjugacyResult("conjugate", witness=identity_word(u.strands))

@@ -19,12 +19,12 @@ from functools import cache
 from .braid import (
     MAX_STRANDS,
     BraidWord,
+    _simple_letters,
     canonical_form,
     equals,
     format_word,
     full_twist,
     parse_word,
-    permutation_braid_letters,
 )
 from .complement import (
     enumerate_homs,
@@ -131,11 +131,9 @@ def _emit(args, pairs, plain: str | None = None) -> None:
 
 def _cmd_nf(args) -> int:
     w = _arg_word(args.word, args.strands)
-    cf = canonical_form(w)
-    factors = ";".join(
-        " ".join(str(l) for l in permutation_braid_letters(p)) for p in cf.factors
-    )
-    _emit(args, [("inf", cf.inf), ("factors", factors)], f"inf={cf.inf} factors={factors}")
+    inf, perms = canonical_form(w)
+    factors = ";".join(" ".join(str(l) for l in _simple_letters(p)) for p in perms)
+    _emit(args, [("inf", inf), ("factors", factors)], f"inf={inf} factors={factors}")
     return 0
 
 

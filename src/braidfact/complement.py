@@ -15,7 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .braid import MAX_STRANDS, BraidWord, Permutation, bfs, equals, free_reduce, full_twist
+from .braid import MAX_STRANDS, BraidWord, bfs, cycles, equals, free_reduce, full_twist
 from .errors import FormatError
 from .factorization import Factorization, validate
 
@@ -214,10 +214,10 @@ def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
 
 @dataclass(frozen=True)
 class SymmetricImage:
-    """Images of the presentation generators in S_n."""
+    """Images of the presentation generators in S_n, as 0-based image tuples."""
 
     n: int
-    images: tuple[Permutation, ...]
+    images: tuple[tuple[int, ...], ...]
     epi: bool
 
 
@@ -323,10 +323,7 @@ def enumerate_homs(
 
     assign(1)
     found.sort()
-    return [
-        SymmetricImage(n, tuple(Permutation(tuple(x + 1 for x in p)) for p in tup), epi)
-        for tup, epi in found
-    ]
+    return [SymmetricImage(n, tup, epi) for tup, epi in found]
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +574,13 @@ def parse_presentation(text: str) -> FinitePresentation:
         raise FormatError(str(e)) from None
 
 
+def _cycle_notation(images: tuple[int, ...]) -> str:
+    """Cycles written 1-based, "(1 2)(3 4)"; "()" for the identity."""
+    return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles(images)) or "()"
+
+
 def format_homs(homs: list[SymmetricImage]) -> str:
     lines = []
     for h in homs:
-        lines.append(" ".join(p.cycle_notation() for p in h.images) or "()")
+        lines.append(" ".join(_cycle_notation(p) for p in h.images) or "()")
     return "\n".join(lines) + ("\n" if lines else "")

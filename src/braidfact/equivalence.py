@@ -16,6 +16,7 @@ from .braid import (
     BraidWord,
     _braids,
     bfs,
+    cycle_type,
     equals,
     exponent_sum,
     format_word,
@@ -64,7 +65,7 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
     )
-    cycle_types = tuple(sorted(nf_permutation(d, k).cycle_type() for k in factor_keys))
+    cycle_types = tuple(sorted(cycle_type(nf_permutation(d, k)) for k in factor_keys))
     keys = None
     if conjugacy_budget > 0:
         entries = []

@@ -17,6 +17,7 @@ from .braid import (
     _braids,
     compose,
     conjugate,
+    cycle_type,
     exponent_sum,
     format_word,
     free_reduce,
@@ -277,7 +278,7 @@ def search_factorization(
         # and rest's permutation needs d - (its cycle count) transpositions.
         # Parities agree by themselves: rest's exponent sum is the remaining
         # s sum.
-        cycles = len(nf_permutation(d, rest).cycle_type())
+        cycles = len(cycle_type(nf_permutation(d, rest)))
         if sum(1 for s in remaining if s % 2) < d - cycles:
             return False
         inf, factors = rest

@@ -115,9 +115,8 @@ def test_criterion_2():
     for d in range(2, 9):
         ft = full_twist(d)
         assert exponent_sum(ft) == d * (d - 1)
-        assert permutation_of(ft).is_identity()
-        nf = canonical_form(ft)
-        assert nf.inf == 2 and nf.canonical_length == 0
+        assert permutation_of(ft) == tuple(range(d))
+        assert canonical_form(ft) == (2, ())
         for i in range(1, d):
             gen = BraidWord(d, (i,))
             left = BraidWord(d, ft.letters + gen.letters)

@@ -8,12 +8,14 @@ import pytest
 from braidfact import braid
 from braidfact.braid import (
     BraidWord,
-    Permutation,
+    _simple_letters,
     _simple_steps,
     canonical_form,
     compose,
     conjugate,
     conjugacy_test,
+    cycle_type,
+    cycles,
     enumerate_braids,
     equals,
     exponent_sum,
@@ -29,7 +31,6 @@ from braidfact.braid import (
     nf_permutation,
     normalized,
     parse_word,
-    permutation_braid_letters,
     permutation_of,
     summit_key,
 )
@@ -96,15 +97,15 @@ def test_word_construction_checks():
 
 
 def test_canonical_form_anchors():
-    cf = canonical_form(half_twist(3))
-    assert (cf.inf, cf.canonical_length) == (1, 0)
-    cf = canonical_form(full_twist(3))
-    assert (cf.inf, cf.canonical_length) == (2, 0)
-    cf = canonical_form(BraidWord(3, (1,)))
-    assert cf.inf == 0 and [p.images for p in cf.factors] == [(2, 1, 3)]
-    # to_word round trip preserves the braid
+    assert canonical_form is nf_key
+    inf, factors = canonical_form(half_twist(3))
+    assert (inf, len(factors)) == (1, 0)
+    inf, factors = canonical_form(full_twist(3))
+    assert (inf, len(factors)) == (2, 0)
+    assert canonical_form(BraidWord(3, (1,))) == (0, ((1, 0, 2),))
+    # the word of the canonical form preserves the braid
     w = BraidWord(4, (1, -2, 3, 3, -1))
-    assert equals(canonical_form(w).to_word(), w)
+    assert equals(normalized(w), w)
 
 
 def test_equals_relations():
@@ -140,7 +141,7 @@ def test_full_twist_central():
     for d in range(2, 8):
         delta2 = full_twist(d)
         assert exponent_sum(delta2) == d * (d - 1)
-        assert permutation_of(delta2).is_identity()
+        assert permutation_of(delta2) == tuple(range(d))
         for g in range(1, d):
             gen = BraidWord(d, (g,))
             assert equals(compose(gen, delta2), compose(delta2, gen))
@@ -166,25 +167,28 @@ def test_positivity():
 
 
 def test_permutation_braid_letters_round_trip():
+    # every permutation in S_1..S_6, then seeded ones in S_2..S_7
+    perms = [p for d in range(1, 7) for p in itertools.permutations(range(d))]
     rng = random.Random(23)
     for _ in range(100):
-        d = rng.randint(2, 7)
-        images = list(range(1, d + 1))
+        images = list(range(rng.randint(2, 7)))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
-        letters = permutation_braid_letters(p)
-        # the word is one permutation braid: inf 0 with the single factor p,
-        # except for the identity (no factors) and the half twist (inf 1)
-        cf = canonical_form(BraidWord(d, letters))
-        if p.is_identity():
-            assert (cf.inf, cf.factors) == (0, ())
-        elif p.images == tuple(range(d, 0, -1)):
-            assert (cf.inf, cf.factors) == (1, ())
+        perms.append(tuple(images))
+    for p in perms:
+        d = len(p)
+        letters = _simple_letters(p)
+        w = BraidWord(d, letters)
+        # in the kernel's convention the word's permutation is p, and the word
+        # is one permutation braid: inf 0 with the single factor p, except for
+        # the identity (no factors) and the half twist (inf 1)
+        assert permutation_of(w) == p, p
+        if p == tuple(range(d)):
+            assert canonical_form(w) == (0, ()), p
+        elif p == tuple(range(d - 1, -1, -1)):
+            assert canonical_form(w) == (1, ()), p
         else:
-            assert (cf.inf, [f.images for f in cf.factors]) == (0, [p.images])
-        assert len(letters) == sum(
-            1 for i in range(d) for j in range(i + 1, d) if images[i] > images[j]
-        )
+            assert canonical_form(w) == (0, (p,)), p
+        assert len(letters) == sum(1 for i in range(d) for j in range(i + 1, d) if p[i] > p[j])
 
 
 def test_parse_format_words():
@@ -319,8 +323,8 @@ def pair_algebra_words(rng, d):
         words.append(BraidWord(d, half.letters * n))
         words.append(BraidWord(d, invert(half).letters * n))
     for _ in range(6):
-        p = Permutation(tuple(rng.sample(range(1, d + 1), d)))
-        words.append(BraidWord(d, permutation_braid_letters(p)))
+        p = tuple(rng.sample(range(d), d))
+        words.append(BraidWord(d, _simple_letters(p)))
     if d > 1:
         words += [rand_word(rng, d, rng.randint(1, 14)) for _ in range(12)]
     return words
@@ -346,6 +350,38 @@ def test_nf_permutation_is_the_permutation_of_the_word():
         d = rng.randint(2, 6)
         w = rand_word(rng, d, rng.randint(0, 12))
         assert nf_permutation(d, nf_key(w)) == permutation_of(w), w
+
+
+def test_permutation_of_follows_each_strand():
+    # X_1 X_2 in B_3: strand 0 crosses to 1 and then to 2, strand 1 ends
+    # at 0 and strand 2 at 1
+    assert permutation_of(BraidWord(3, (1, 2))) == (2, 0, 1)
+    assert permutation_of(BraidWord(3, (-2, -1))) == (1, 2, 0)
+    assert permutation_of(BraidWord(1)) == (0,)
+
+
+def brute_cycle_type(p):
+    orbits = set()
+    for x in range(len(p)):
+        orbit, y = {x}, p[x]
+        while y != x:
+            orbit.add(y)
+            y = p[y]
+        orbits.add(frozenset(orbit))
+    return sorted((len(o) for o in orbits), reverse=True)
+
+
+def test_cycle_type_agrees_with_a_brute_force_orbit_count():
+    for d in range(1, 7):
+        for p in itertools.permutations(range(d)):
+            assert list(cycle_type(p)) == brute_cycle_type(p), p
+            cs = cycles(p)
+            assert all(len(c) > 1 and c[0] == min(c) for c in cs), p
+            assert list(cs) == sorted(cs), p
+            assert all(p[c[i]] == c[(i + 1) % len(c)] for c in cs for i in range(len(c))), p
+    assert cycles((1, 0, 3, 4, 2)) == ((0, 1), (2, 3, 4))
+    assert cycle_type((1, 0, 3, 4, 2)) == (3, 2)
+    assert cycle_type(()) == ()
 
 
 def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import braidfact
 import braidfact.cli as cli
 import braidfact.equivalence as equivalence
-from braidfact.braid import BraidWord, canonical_form, equals, permutation_braid_letters
+from braidfact.braid import BraidWord, _simple_letters, canonical_form, equals
 from braidfact.cli import main
 from braidfact.factorization import parse_factorization, validate
 
@@ -449,9 +449,9 @@ def cli_word(draw, d):
 
 
 def nf_line(d, text):
-    cf = canonical_form(BraidWord(d, tuple(int(t) for t in text.split())))
-    factors = ";".join(" ".join(map(str, permutation_braid_letters(p))) for p in cf.factors)
-    return f"inf={cf.inf} factors={factors}\n"
+    inf, perms = canonical_form(BraidWord(d, tuple(int(t) for t in text.split())))
+    factors = ";".join(" ".join(map(str, _simple_letters(p))) for p in perms)
+    return f"inf={inf} factors={factors}\n"
 
 
 @settings(

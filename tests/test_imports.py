@@ -1,4 +1,5 @@
-"""Source hygiene: every name a braidfact module imports is used there."""
+"""Source hygiene: every name a braidfact module imports is used there, and
+the public names are the pinned ones."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,72 @@ def test_every_imported_name_is_used():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+# The public names, sorted.  A change to braidfact.__all__ fails here until
+# this list is edited with it, so every public-name change is deliberate.
+PUBLIC_NAMES = [
+    "BraidWord",
+    "CurveInvariants",
+    "CuspidalFactor",
+    "EquivalenceVerdict",
+    "Factorization",
+    "Fingerprint",
+    "FinitePresentation",
+    "FormatError",
+    "FreeWord",
+    "ProjLine",
+    "ProjPoint",
+    "SearchBudget",
+    "SearchBudgetExceeded",
+    "artin_action",
+    "branch_curve_invariants",
+    "canonical_form",
+    "canonical_key",
+    "check_consistency",
+    "conjugacy_test",
+    "conjugate_all",
+    "decide_equivalence",
+    "enumerate_braids",
+    "enumerate_homs",
+    "equals",
+    "explore_orbit",
+    "exponent_sum",
+    "factor_words",
+    "fingerprint",
+    "format_arrangement",
+    "format_factorization",
+    "format_homs",
+    "format_invariants",
+    "format_presentation",
+    "format_verdict",
+    "format_word",
+    "full_twist",
+    "group_order",
+    "half_twist",
+    "hesse_dual_lines",
+    "hurwitz_move",
+    "identity_word",
+    "intersection_lattice",
+    "is_positive",
+    "normalized",
+    "parse_factorization",
+    "parse_presentation",
+    "parse_verdict",
+    "parse_word",
+    "permutation_of",
+    "product_word",
+    "profile_exponent_ok",
+    "replay",
+    "search_factorization",
+    "simplify",
+    "singularity_counts",
+    "validate",
+    "zvk_presentation",
+]
+
+
+def test_public_names_are_pinned():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(braidfact.__all__) == PUBLIC_NAMES
+    assert all(hasattr(braidfact, name) for name in PUBLIC_NAMES)
