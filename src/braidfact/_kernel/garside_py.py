@@ -37,74 +37,92 @@ A half twist that forms partway through the comb stops it too: it is
 folded into the Delta power where it forms, and the factors before it are
 conjugated by tau instead of each being passed by it one crossing at a
 time.  That tau is deferred until the comb next reaches a factor, or to
-the end, since each one builds a new list.
+the end, since each one builds a new tuple.
+
+Factors are immutable int tuples throughout, so one comb step is a pure
+function of its pair, and _fix_pair and _tau are memoised by bounded
+lru_caches.
+Searches that multiply the same few normal forms over and over (the
+Hurwitz orbits) comb the same pairs again and again, and repeat about 98%
+of their steps.  normal_form_factors checks every factor it is given
+strictly, as _garside.c checks it: every length first, then each image
+through operator.index (a bool is its int, a float a TypeError), in
+range(d) and not repeated.  Factors of plain ints that are permutations,
+which is all the package passes, are checked at C speed and kept as they
+are, so the memo sees the same tuple objects again.  The memo only ever
+sees checked int tuples, so accept or reject never depends on what it
+holds.
 
 This module must stay behaviourally identical to the compiled twin in
 _garside.c; tests/test_kernel.py holds both to a brute-force fixpoint
 reference and to each other.
 """
 
+from functools import lru_cache
+from itertools import chain
 from operator import index
 
 IMPL_NAME = "pure"
 
+# Entries of each memo: more than the distinct pairs one Hurwitz search
+# combs (under 500); full of factors from B_2..B_8, the two hold about 0.6 MB.
+_MEMO_SIZE = 1 << 10
 
-def _fix_pair(a, ai, b, bi, d):
-    """Make the adjacent factor pair (a, b) left-weighted in place.
 
-    a, ai, b, bi are one-line notations of the two factors and their
-    inverses, as mutable lists.  Returns True if a changed.
+@lru_cache(maxsize=_MEMO_SIZE)
+def _fix_pair(a, b):
+    """The left-weighted pair with the product of the factors a and b, or
+    None if (a, b) already is left-weighted.
+
+    Slides on a's inverse and on b, one crossing at a time, and rebuilds a
+    from its inverse at the end.
     """
+    d = len(a)
+    ai = [0] * d
+    for x, y in enumerate(a):
+        ai[y] = x
+    b = list(b)
     changed = False
     i = 0
     while i < d - 1:
         if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
             # slide crossing i: a <- a * s_i, b <- s_i * b
-            x = ai[i]
-            y = ai[i + 1]
-            a[x] = i + 1
-            a[y] = i
-            ai[i] = y
-            ai[i + 1] = x
-            u = b[i]
-            b[i] = b[i + 1]
-            b[i + 1] = u
-            bi[b[i]] = i
-            bi[u] = i + 1
+            ai[i], ai[i + 1] = ai[i + 1], ai[i]
+            b[i], b[i + 1] = b[i + 1], b[i]
             changed = True
             i -= i > 0  # the slide condition changed only at i - 1, i and i + 1
         else:
             i += 1
-    return changed
+    if not changed:
+        return None
+    a = [0] * d
+    for x, y in enumerate(ai):
+        a[y] = x
+    return tuple(a), tuple(b)
 
 
-def _invert(p, d):
-    inv = [0] * d
-    for i in range(d):
-        inv[p[i]] = i
-    return inv
-
-
-def _tau(p, d):
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tau(p):
     """tau(p) = w0 . p . w0, the conjugate of p by the half twist."""
-    return [d - 1 - v for v in p[::-1]]
+    d = len(p)
+    return tuple([d - 1 - v for v in reversed(p)])
 
 
-def _shift(d, raw, powers, trailing):
+def _shift(raw, powers, trailing):
     """Move the powers of D^powers[0] raw[0] D^powers[1] raw[1] ... D^trailing
     to the front: a factor passing D^n becomes tau^n of itself.  Returns the sum."""
     dp = trailing
     for j in range(len(raw) - 1, -1, -1):
         if dp & 1:
-            raw[j] = _tau(raw[j], d)
+            raw[j] = _tau(raw[j])
         dp += powers[j]
     return dp
 
 
 def _comb(d, inf, raw):
     """Left normal form of D^inf * raw[0] * raw[1] * ..., raw a list of
-    permutation braids as mutable one-line lists (consumed in place)."""
-    identity = list(range(d))
+    permutation braids as int tuples."""
+    identity = tuple(range(d))
     w0 = identity[::-1]
 
     # Append factors one at a time, combing backwards after each append.
@@ -125,33 +143,33 @@ def _comb(d, inf, raw):
     # comb or the last factor, and dropping a factor shifts none of it;
     # what is still owed at the end is paid from the right.
     factors = []
-    inverses = []
     owed = set()
     for p in raw:
         if p == identity:
             continue
         factors.append(p)
-        inverses.append(_invert(p, d))
         j = len(factors) - 2
         while j >= 0:
             if j in owed:
-                factors[j] = _tau(factors[j], d)
-                inverses[j] = _tau(inverses[j], d)
+                factors[j] = _tau(factors[j])
                 owed.remove(j)
                 if j:
                     owed ^= {j - 1}
-            if not _fix_pair(factors[j], inverses[j], factors[j + 1], inverses[j + 1], d):
+            pair = _fix_pair(factors[j], factors[j + 1])
+            if pair is None:
                 break
-            if factors[j + 1] == identity:
-                factors.pop(j + 1)
-                inverses.pop(j + 1)
-            if factors[j] == w0:
+            a, b = pair
+            if b == identity:
+                del factors[j + 1]
+            else:
+                factors[j + 1] = b
+            if a == w0:
                 del factors[j]
-                del inverses[j]
                 if j:
                     owed ^= {j - 1}
                 inf += 1
                 break
+            factors[j] = a
             j -= 1
 
     if owed:
@@ -159,7 +177,7 @@ def _comb(d, inf, raw):
         for m in range(len(factors) - 1, -1, -1):
             odd ^= m in owed
             if odd:
-                factors[m] = _tau(factors[m], d)
+                factors[m] = _tau(factors[m])
 
     # A half twist appended to an empty comb (or behind leading ones) meets
     # no changed pair; it stays at the front and joins the Delta power here.
@@ -167,7 +185,7 @@ def _comb(d, inf, raw):
     while lead < len(factors) and factors[lead] == w0:
         lead += 1
 
-    return inf + lead, tuple(tuple(p) for p in factors[lead:])
+    return inf + lead, tuple(factors[lead:])
 
 
 def normal_form(d, letters):
@@ -210,7 +228,23 @@ def normal_form(d, letters):
         pi[i] = y
         pi[i + 1] = x
 
-    return _comb(d, _shift(d, raw, dpows, 0), raw)
+    raw = list(map(tuple, raw))
+    return _comb(d, _shift(raw, dpows, 0), raw)
+
+
+def _checked(f, d):
+    """The factor f of B_d as an int tuple, checked as _garside.c checks it:
+    image by image, each an integer (TypeError) in range(d) and not
+    repeated (ValueError)."""
+    seen = [False] * d
+    images = []
+    for v in f:
+        v = index(v)
+        if not 0 <= v < d or seen[v]:
+            raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
+        seen[v] = True
+        images.append(v)
+    return tuple(images)
 
 
 def normal_form_factors(d, keys):
@@ -223,19 +257,25 @@ def normal_form_factors(d, keys):
     """
     if d < 1:
         raise ValueError("strand count must be >= 1")
-    identity = list(range(d))
     raw = []
     powers = []
     power = 0  # carried by the next factor, or trailing if none follows
     for inf, factors in keys:
         power += index(inf)
         for f in factors:
-            p = list(f)
-            if sorted(p) != identity:
+            t = tuple(f)
+            if len(t) != d:
                 raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
-            raw.append(p)
+            raw.append(t)
             powers.append(power)
             power = 0
+    # as in _garside.c, every length is checked before any image; factors
+    # of plain ints that are permutations pass as they are, and any other
+    # is converted or rejected image by image
+    identity = list(range(d))
+    ints = set(map(type, chain.from_iterable(raw))) <= {int}
+    if not (ints and all(map(identity.__eq__, map(sorted, raw)))):
+        raw = [_checked(f, d) for f in raw]
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity
-    return _comb(d, _shift(d, raw, powers, power), raw)
+    return _comb(d, _shift(raw, powers, power), raw)

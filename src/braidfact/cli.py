@@ -409,7 +409,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("order", _cmd_order, "group order by coset enumeration")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=10000, help="coset row budget (default 10000)")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=10000,
+        metavar="N",
+        help="N coset rows, or 4N table cells if fewer (default 10000)",
+    )
 
     add("arrangement", _cmd_arrangement, "intersection lattice of the nine-line arrangement")
 

@@ -327,7 +327,7 @@ def enumerate_homs(
 
 
 # ---------------------------------------------------------------------------
-# coset enumeration (HLT with a row budget and one lookahead sweep)
+# coset enumeration (HLT with a row and cell budget and one lookahead sweep)
 
 
 def _abelian_rank(P: FinitePresentation) -> int:
@@ -365,9 +365,11 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
     it gives None at once, whatever the budget.  Otherwise cosets of the
     trivial subgroup are enumerated HLT-style: relators are scanned at
     every live coset and gaps are filled by defining new cosets, up to
-    `budget` rows ever defined.  On budget exhaustion one lookahead sweep
-    makes deductions without definitions.  A returned integer is exact:
-    the final table is complete and verified against every relator.
+    `budget` rows ever defined, or fewer when the rows are wide: the table
+    has 2 * ngens cells a row and stops at 4 * `budget` cells, so one or
+    two generators keep `budget` rows.  On budget exhaustion one lookahead
+    sweep makes deductions without definitions.  A returned integer is
+    exact: the final table is complete and verified against every relator.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -376,6 +378,7 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
     if _abelian_rank(P) < P.ngens:
         return None
     ncols = 2 * P.ngens
+    rows = min(budget, max(1, 4 * budget // ncols))
     relators = [r.letters for r in P.relators if r.letters]
 
     def col(l: int) -> int:
@@ -436,7 +439,7 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
 
     def define(a: int, c: int) -> int | None:
         nonlocal defined
-        if defined >= budget:
+        if defined >= rows:
             return None
         table.append([None] * ncols)
         rep.append(len(table) - 1)
@@ -495,7 +498,7 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
             process_coincidences()
             if find(alpha) != alpha:
                 break
-            if defined >= budget:
+            if defined >= rows:
                 exhausted = True
                 break
         if find(alpha) == alpha and not exhausted:

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import braidfact.cli as cli
 import braidfact.equivalence as equivalence
 from braidfact.braid import BraidWord, _simple_letters, canonical_form, equals
 from braidfact.cli import main
+from braidfact.complement import group_order, parse_presentation
 from braidfact.factorization import parse_factorization, validate
 
 CONIC_FACT = "strands 2\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
@@ -228,6 +230,24 @@ def test_order_of_a_wide_free_factor_is_unknown_at_once(capsys, tmp_path):
     code, out, _ = run(capsys, "order", str(pres))
     assert code == 2 and out == "order=unknown\n"
     assert time.perf_counter() - start < 5
+
+
+def test_order_of_wide_involutions_stops_at_the_cell_budget(capsys, tmp_path):
+    # 256 generators, relators x_i x_i: a free product of copies of Z/2,
+    # infinite with a finite abelianization, so the coset table runs out;
+    # it stops at 4 * budget cells, not at budget rows of 512 cells each
+    text = "256\n" + "".join(f"{i} {i}\n" for i in range(1, 257))
+    assert group_order(parse_presentation(text)) is None
+    pres = tmp_path / "involutions.pres"
+    pres.write_text(text)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "order", str(pres))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "order=unknown\n"
+    assert peak < 4 * 2**20
 
 
 def test_arrangement_output(capsys):

@@ -339,6 +339,20 @@ def test_group_order_budget_starvation_is_none_not_wrong():
     assert group_order(METACYCLIC_12, budget=3) is None
 
 
+def test_group_order_of_wide_finite_groups_at_a_tight_budget():
+    # three or more generators: the table stops at 4 * budget cells, so the
+    # budget buys 2 * budget // ngens rows; each group still gets its exact
+    # order once those rows reach what two-generator rows would need
+    for P, order, ngens, least in (
+        (zvk_presentation(CUBIC), 3, 3, 5),  # 3 rows
+        (zvk_presentation(QUARTIC_TWO_CUSP), 4, 4, 10),  # 5 rows
+        (zvk_presentation(QUARTIC_THREE_CUSP), 12, 4, 76),  # 38 rows
+    ):
+        assert P.ngens == ngens
+        assert group_order(P, budget=least) == order
+        assert group_order(P, budget=least - 1) is None
+
+
 def test_pipeline_orders():
     assert group_order(zvk_presentation(CONIC)) == 2
     assert group_order(zvk_presentation(CUBIC)) == 3

@@ -198,6 +198,14 @@ def kernel(request):
     return garside_py if request.param == "pure" else request.getfixturevalue("compiled")
 
 
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Start every test on empty pure-kernel memos, so each one also runs
+    the miss path."""
+    garside_py._fix_pair.cache_clear()
+    garside_py._tau.cache_clear()
+
+
 def test_fixed_anchors(kernel):
     assert kernel.normal_form(2, [1, 1]) == (2, ())
     assert kernel.normal_form(3, [1, 2, 1, 2, 1, 2]) == (2, ())
@@ -420,6 +428,62 @@ def test_malformed_factor_raises(kernel, factor):
         kernel.normal_form_factors(3, [(0, [(1, 0, 2), factor])])
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_factor_images_must_be_ints(kernel, warm):
+    # images go through operator.index, as in _garside.c: a bool counts as
+    # its int, a float or a string is a TypeError, whatever the memos hold;
+    # the first bad image of a factor decides the error
+    if warm:
+        for factors in ([(1, 0, 2), (1, 0, 2)], [(1, 0, 2), (0, 2, 1)]):
+            got = kernel.normal_form_factors(3, [(0, factors)])
+            assert kernel.normal_form_factors(3, [got]) == got
+            with pytest.raises(ValueError):  # a factor of B_3 is none of B_4
+                kernel.normal_form_factors(4, [got])
+    for d, factors in ((3, [(1.0, 0, 2)]), (3, [(1.0, 0, 2), (0, 2, 1)]), (1, [("a",)])):
+        with pytest.raises(TypeError):
+            kernel.normal_form_factors(d, [(0, factors)])
+    for factor, error in ((1, 1.0, 0), TypeError), ((5, 1.0, 0), ValueError), ((1, 1, 1.0), ValueError):
+        with pytest.raises(error):
+            kernel.normal_form_factors(3, [(0, [factor])])
+    got = kernel.normal_form_factors(3, [(0, [(True, False, 2)])])
+    assert got == (0, ((1, 0, 2),)) and all(type(v) is int for v in got[1][0])
+
+
+def test_memos_are_transparent_and_bounded(kernel):
+    # the same answers cold, warm, and after more distinct pairs than the
+    # memos hold have passed through; each answer fed back in is its own
+    # normal form
+    rng = random.Random(20261020)
+    words, keys = [], []
+    for d in range(2, 9):
+        for _ in range(12):
+            letters = random_word(rng, d, 40)
+            words.append((d, letters, ref_normal_form(d, letters)))
+            factors = random_factors(rng, d)
+            inf = rng.randint(-2, 2)
+            keys.append((d, inf, factors, ref_comb(d, inf, [list(f) for f in factors])))
+
+    def check():
+        for d, letters, expected in words:
+            got = kernel.normal_form(d, letters)
+            assert got == expected, (d, letters)
+            assert kernel.normal_form_factors(d, [got]) == expected
+        for d, inf, factors, expected in keys:
+            got = kernel.normal_form_factors(d, [(inf, factors)])
+            assert got == expected, (d, inf, factors)
+            assert kernel.normal_form_factors(d, [got]) == expected
+        assert garside_py._fix_pair.cache_info().currsize <= garside_py._MEMO_SIZE
+        assert garside_py._tau.cache_info().currsize <= garside_py._MEMO_SIZE
+
+    check()
+    check()
+    for _ in range(2 * garside_py._MEMO_SIZE):
+        kernel.normal_form_factors(8, [(1, [tuple(rng.sample(range(8), 8)) for _ in range(2)])])
+    if kernel is garside_py:
+        assert garside_py._fix_pair.cache_info().currsize == garside_py._MEMO_SIZE
+    check()
+
+
 def tau(f):
     """The conjugate of a permutation braid by the half twist."""
     return tuple(len(f) - 1 - y for y in reversed(f))
@@ -474,6 +538,7 @@ def test_multi_key_product(kernel, multi_key_cases):
         ((0, 5), TypeError),  # factors not iterable
         ((0, [(0, 1)]), ValueError),  # a factor of the wrong length
         ((0, [(0, 2, 2)]), ValueError),  # a repeated image
+        ((0, [(1.0, 0, 2), (0, 1)]), ValueError),  # every length before any image
     ],
 )
 def test_malformed_key_raises(kernel, key, error):
