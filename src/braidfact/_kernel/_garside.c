@@ -15,27 +15,30 @@
 #include <string.h>
 
 /* Make the adjacent factor pair (a, b) left-weighted in place; ai and bi
- * are the inverses.  Returns 1 if a changed. */
+ * are the inverses.  Returns 1 if a changed.  Sliding crossing i
+ * (a <- a * s_i, b <- s_i * b) swaps the contents (ai[i], b[i]) and
+ * (ai[i + 1], b[i + 1]); one insertion pass moves each position's content
+ * left past every neighbour it may slide under (see garside_py._fix_pair). */
 static int
 fix_pair(int *a, int *ai, int *b, int *bi, int d)
 {
-    int changed = 0, i = 0;
-    while (i < d - 1) {
-        if (b[i] > b[i + 1] && ai[i] < ai[i + 1]) {
-            /* slide crossing i: a <- a * s_i, b <- s_i * b */
-            int x = ai[i], y = ai[i + 1], u = b[i];
-            a[x] = i + 1;
-            a[y] = i;
-            ai[i] = y;
-            ai[i + 1] = x;
-            b[i] = b[i + 1];
-            b[i + 1] = u;
-            bi[b[i]] = i;
-            bi[u] = i + 1;
+    int changed = 0;
+    for (int k = 1; k < d; k++) {
+        int x = ai[k], y = b[k], j = k;
+        while (j > 0 && b[j - 1] > y && ai[j - 1] < x) {
+            ai[j] = ai[j - 1];
+            b[j] = b[j - 1];
+            a[ai[j]] = j;
+            bi[b[j]] = j;
+            j--;
+        }
+        if (j < k) {
+            ai[j] = x;
+            b[j] = y;
+            a[x] = j;
+            bi[y] = j;
             changed = 1;
-            i -= i > 0;  /* the slide condition changed only at i - 1, i, i + 1 */
-        } else
-            i++;
+        }
     }
     return changed;
 }

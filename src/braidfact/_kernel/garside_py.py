@@ -27,15 +27,16 @@ of normal forms is combed only where its factors do not already fit (the
 right multiplication of Epstein et al., Word Processing in Groups,
 ch. 9).  _shift moves every Delta power to the front.
 
-The comb slides one crossing at a time from the front of a factor to the
-back of its left neighbour until every pair is left-weighted; each slide
-strictly increases the left factor, so the loop terminates, and the
-left-weighted pair for a fixed product is unique.  Factors are appended
-on the right and combed backwards; once a comb step leaves the left
-factor unchanged the prefix is still left-weighted and the comb stops.
-A half twist that forms partway through the comb stops it too: it is
-folded into the Delta power where it forms, and the factors before it are
-conjugated by tau instead of each being passed by it one crossing at a
+The comb slides crossings from the front of a factor to the back of its
+left neighbour until every pair is left-weighted: one insertion pass per
+pair (see _fix_pair).  Each slide strictly increases the left factor, so
+the comb terminates, and the left-weighted pair for a fixed product is
+unique, so the order of the slides does not change the result.  Factors
+are appended on the right and combed backwards; once a comb step leaves
+the left factor unchanged the prefix is still left-weighted and the comb
+stops.  A half twist that forms partway through the comb stops it too: it
+is folded into the Delta power where it forms, and the factors before it
+are conjugated by tau instead of each being passed by it one crossing at a
 time.  That tau is deferred until the comb next reaches a factor, or to
 the end, since each one builds a new tuple.
 
@@ -47,11 +48,17 @@ Hurwitz orbits) comb the same pairs again and again, and repeat about 98%
 of their steps.  normal_form_factors checks every factor it is given
 strictly, as _garside.c checks it: every length first, then each image
 through operator.index (a bool is its int, a float a TypeError), in
-range(d) and not repeated.  Factors of plain ints that are permutations,
-which is all the package passes, are checked at C speed and kept as they
-are, so the memo sees the same tuple objects again.  The memo only ever
-sees checked int tuples, so accept or reject never depends on what it
-holds.
+range(d) and not repeated.  Factors whose images are all plain ints and
+that are permutations, which is all the package passes, are checked at C
+speed and kept as they are, so the memo sees the same tuple objects again.
+A factor found to be a permutation joins _PERMS, a bounded set, and later
+calls look it up there instead of sorting it again.  The lookup comes only
+after the exact-int type check, and a tuple of plain ints equal to a
+permutation is that permutation, so _PERMS cannot change accept or
+reject: without the type check, (1.0, 0, 2) would be found, as it equals
+and hashes like (1, 0, 2).  The memos likewise only ever see checked int
+tuples, so what they hold never decides an answer.  Letters go through
+operator.index too, before the range check.
 
 This module must stay behaviourally identical to the compiled twin in
 _garside.c; tests/test_kernel.py holds both to a brute-force fixpoint
@@ -59,7 +66,7 @@ reference and to each other.
 """
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import index
 
 IMPL_NAME = "pure"
@@ -68,14 +75,26 @@ IMPL_NAME = "pure"
 # combs (under 500); full of factors from B_2..B_8, the two hold about 0.6 MB.
 _MEMO_SIZE = 1 << 10
 
+# Int tuples that normal_form_factors found to be permutations: at most
+# _MEMO_SIZE, emptied when full.
+_PERMS = set()
+
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _fix_pair(a, b):
     """The left-weighted pair with the product of the factors a and b, or
     None if (a, b) already is left-weighted.
 
-    Slides on a's inverse and on b, one crossing at a time, and rebuilds a
-    from its inverse at the end.
+    Works on a's inverse ai and on b.  Sliding crossing i (a <- a * s_i,
+    b <- s_i * b) swaps the contents (ai[i], b[i]) and (ai[i+1], b[i+1]),
+    and is allowed when b[i] > b[i+1] and ai[i] < ai[i+1].  One insertion
+    pass makes every slide: the content at k moves left past every
+    neighbour it may slide under.  Up to k no slide is left behind: the
+    content's new left neighbour is one it may not pass, the one it passed
+    last now sits to its right with the larger b, and the others keep
+    their neighbours.  The left-weighted pair of a product is unique, so
+    the order of the slides does not change it.  a is rebuilt from its
+    inverse at the end.
     """
     d = len(a)
     ai = [0] * d
@@ -83,22 +102,34 @@ def _fix_pair(a, b):
         ai[y] = x
     b = list(b)
     changed = False
-    i = 0
-    while i < d - 1:
-        if b[i] > b[i + 1] and ai[i] < ai[i + 1]:
-            # slide crossing i: a <- a * s_i, b <- s_i * b
-            ai[i], ai[i + 1] = ai[i + 1], ai[i]
-            b[i], b[i + 1] = b[i + 1], b[i]
-            changed = True
-            i -= i > 0  # the slide condition changed only at i - 1, i and i + 1
-        else:
-            i += 1
+    for k in range(1, d):
+        y = b[k]
+        if b[k - 1] > y:
+            x = ai[k]
+            j = k - 1
+            if ai[j] < x:
+                ai[k] = ai[j]
+                b[k] = b[j]
+                while j and b[j - 1] > y and ai[j - 1] < x:
+                    ai[j] = ai[j - 1]
+                    b[j] = b[j - 1]
+                    j -= 1
+                ai[j] = x
+                b[j] = y
+                changed = True
     if not changed:
         return None
     a = [0] * d
     for x, y in enumerate(ai):
         a[y] = x
     return tuple(a), tuple(b)
+
+
+@lru_cache(maxsize=16)
+def _constants(d):
+    """The identity and the half twist of B_d as int tuples."""
+    identity = tuple(range(d))
+    return identity, identity[::-1]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -122,8 +153,7 @@ def _shift(raw, powers, trailing):
 def _comb(d, inf, raw):
     """Left normal form of D^inf * raw[0] * raw[1] * ..., raw a list of
     permutation braids as int tuples."""
-    identity = tuple(range(d))
-    w0 = identity[::-1]
+    identity, w0 = _constants(d)
 
     # Append factors one at a time, combing backwards after each append.
     # Appending a permutation braid to a left normal form and making the
@@ -150,7 +180,7 @@ def _comb(d, inf, raw):
         factors.append(p)
         j = len(factors) - 2
         while j >= 0:
-            if j in owed:
+            if owed and j in owed:
                 factors[j] = _tau(factors[j])
                 owed.remove(j)
                 if j:
@@ -200,8 +230,7 @@ def normal_form(d, letters):
     if not letters:
         return 0, ()
 
-    identity = list(range(d))
-    w0 = identity[::-1]
+    identity, w0 = _constants(d)
 
     # Consecutive letters accumulate into one run r, a permutation braid
     # held as images p and inverse pi.  sigma_i joins r while s_i does not
@@ -212,12 +241,12 @@ def normal_form(d, letters):
     # with one inverse half twist, before the letter is applied.
     raw = []
     dpows = []
-    for k in letters:
+    for k in map(index, letters):
         i = abs(k) - 1
         if i < 0 or i >= d - 1:
             raise ValueError("letter %d out of range for %d strands" % (k, d))
         if not raw or (pi[i] < pi[i + 1]) != (k > 0):
-            p = identity[:] if k > 0 else w0[:]
+            p = list(identity if k > 0 else w0)
             pi = p[:]  # the identity and w0 are involutions
             raw.append(p)
             dpows.append(0 if k > 0 else -1)
@@ -247,6 +276,21 @@ def _checked(f, d):
     return tuple(images)
 
 
+def _are_permutations(raw, d):
+    """Whether every tuple in raw, each of d plain ints, is a permutation of
+    range(d).  Tuples in _PERMS are; the others are sorted, and join it if
+    all of them pass."""
+    new = list(filterfalse(_PERMS.__contains__, raw))
+    if new:
+        identity = list(range(d))
+        if not all(map(identity.__eq__, map(sorted, new))):
+            return False
+        if len(_PERMS) + len(new) > _MEMO_SIZE:
+            _PERMS.clear()
+        _PERMS.update(new[:_MEMO_SIZE])
+    return True
+
+
 def normal_form_factors(d, keys):
     """Left normal form of the product of keys, left to right.
 
@@ -272,9 +316,8 @@ def normal_form_factors(d, keys):
     # as in _garside.c, every length is checked before any image; factors
     # of plain ints that are permutations pass as they are, and any other
     # is converted or rejected image by image
-    identity = list(range(d))
     ints = set(map(type, chain.from_iterable(raw))) <= {int}
-    if not (ints and all(map(identity.__eq__, map(sorted, raw)))):
+    if not (ints and _are_permutations(raw, d)):
         raw = [_checked(f, d) for f in raw]
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity

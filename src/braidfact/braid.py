@@ -28,6 +28,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 from ._kernel import normal_form as _kernel_normal_form
 from ._kernel import normal_form_factors as _kernel_normal_form_factors
@@ -40,23 +41,39 @@ MAX_STRANDS = 1024
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the Artin generators of B_d; not stored freely reduced."""
+    """A word in the Artin generators of B_d; not stored freely reduced.
+
+    Letters are stored as ints: each goes through operator.index, so a
+    float or a string is a TypeError and a bool counts as its int.
+    """
 
     strands: int
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.strands < 1:
+        strands = self.strands
+        if strands < 1:
             raise ValueError("strand count must be >= 1")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for k in self.letters:
-            if k == 0 or abs(k) > self.strands - 1:
-                raise ValueError(
-                    f"letter {k} out of range for {self.strands} strands"
-                )
+        letters = tuple(self.letters)
+        for k in letters:
+            if type(k) is not int or not 0 < abs(k) < strands:
+                letters = _int_letters(letters, strands)
+                break
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
+
+
+def _int_letters(letters: tuple, strands: int) -> tuple[int, ...]:
+    """The letters as ints through operator.index (a TypeError for a
+    non-integer, a bool counts as its int), each checked to lie in range
+    for the strand count (a ValueError)."""
+    letters = tuple(map(index, letters))
+    for k in letters:
+        if not 0 < abs(k) < strands:
+            raise ValueError(f"letter {k} out of range for {strands} strands")
+    return letters
 
 
 @lru_cache(maxsize=1 << 16)

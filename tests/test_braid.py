@@ -96,6 +96,20 @@ def test_word_construction_checks():
         compose(BraidWord(3, (1,)), BraidWord(4, (1,)))
 
 
+def test_word_letters_are_ints():
+    # each letter goes through operator.index: a float or a string is a
+    # TypeError, even one equal to an int; a bool is stored as its int
+    for letters in ((1.0,), (1.5,), (1, "2")):
+        with pytest.raises(TypeError):
+            BraidWord(3, letters)
+    w = BraidWord(3, [True, -2])
+    assert w.letters == (1, -2) and all(type(k) is int for k in w.letters)
+    assert BraidWord(3, (1, -2)).letters == (1, -2)
+    for letters in ((False,), (2**70,), (1, -3)):
+        with pytest.raises(ValueError):
+            BraidWord(3, letters)
+
+
 def test_canonical_form_anchors():
     assert canonical_form is nf_key
     inf, factors = canonical_form(half_twist(3))

@@ -204,6 +204,7 @@ def cold_memos():
     the miss path."""
     garside_py._fix_pair.cache_clear()
     garside_py._tau.cache_clear()
+    garside_py._PERMS.clear()
 
 
 def test_fixed_anchors(kernel):
@@ -357,6 +358,16 @@ def test_every_pair_of_permutation_braids(kernel, d):
             assert kernel.normal_form_factors(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
 
 
+def test_random_pairs_in_b6_to_b8(kernel):
+    # the insertion pass's long slide chains start at B_6, past the
+    # exhaustive test above
+    rng = random.Random(20261022)
+    for _ in range(2000):
+        d = rng.randint(6, 8)
+        a, b = (tuple(rng.sample(range(d), d)) for _ in range(2))
+        assert kernel.normal_form_factors(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
+
+
 @pytest.fixture(scope="module")
 def middle_half_twist_cases():
     """Seeded (d, inf, factors, reference) in B_2..B_8, each factor list
@@ -474,6 +485,7 @@ def test_memos_are_transparent_and_bounded(kernel):
             assert kernel.normal_form_factors(d, [got]) == expected
         assert garside_py._fix_pair.cache_info().currsize <= garside_py._MEMO_SIZE
         assert garside_py._tau.cache_info().currsize <= garside_py._MEMO_SIZE
+        assert len(garside_py._PERMS) <= garside_py._MEMO_SIZE
 
     check()
     check()
@@ -552,6 +564,18 @@ def test_letter_out_of_range_raises(kernel):
             kernel.normal_form(3, [1, letter])
     with pytest.raises(ValueError):
         kernel.normal_form(0, [])
+
+
+def test_letters_must_be_ints(kernel):
+    # letters go through operator.index before the range check, as images
+    # do: a float or a string is a TypeError, a bool counts as its int
+    for letter in (3.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            kernel.normal_form(3, [1, letter])
+    assert kernel.normal_form(3, [True, -2, True]) == kernel.normal_form(3, [1, -2, 1])
+    for letter in (False, 2**70, -(2**70)):
+        with pytest.raises(ValueError):
+            kernel.normal_form(3, [letter])
 
 
 def test_pure_compiled_parity(compiled):
