@@ -58,10 +58,19 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
 
     Its exponent sum is the target's, which the factors' sum equals once F
     validates."""
+    return _fingerprint(F, _validated_key(F), conjugacy_budget)
+
+
+def _validated_key(F: Factorization) -> tuple:
+    """canonical_key(F), or ValidationError if F does not validate."""
     if not validate(F).product_ok:
         raise ValidationError("factorization does not validate")
+    return canonical_key(F)
+
+
+def _fingerprint(F: Factorization, factor_keys, conjugacy_budget: int = 0) -> Fingerprint:
+    """fingerprint of a validated F whose canonical key is factor_keys."""
     d = F.strands
-    factor_keys = canonical_key(F)
     s_multiset = (
         tuple(sorted(f.s for f in F.factors)) if F.is_cuspidal else None
     )
@@ -117,30 +126,73 @@ def _nf_bound(bound: int | None, *keys) -> int:
     return 2 * max([len(pair[1]) for key in keys for pair in key] + [1])
 
 
-def _orbit(d: int, start, nf_bound: int, max_states: int):
-    """Breadth-first Hurwitz-move orbit of canonical key start: one (key,
+def _interner():
+    """A per-decision intern table of factor keys: (keys, intern), where
+    intern(key) is key's small-int id, new keys numbered in the order met,
+    and keys[id] is the key again."""
+    keys: list = []
+    ids: dict = {}
+
+    def intern(key) -> int:
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(keys)
+            keys.append(key)
+        return i
+
+    return keys, intern
+
+
+def _orbit(d: int, start, nf_bound: int, max_states: int, keys, intern):
+    """Breadth-first Hurwitz-move orbit of canonical key start: one (state,
     path) per new state.
 
-    A state is its canonical key, one nf_key per factor braid; the moves at
-    i replace the factors (a, b) by (b, b^-1 a b) ("left") or (a b a^-1, a)
-    ("right"), the braids hurwitz_move gives.  start itself comes first with
-    the empty path; moves are tried in ascending index order, "left" before
-    "right".  A state with a factor of canonical length above nf_bound is
-    skipped.  The search stops after max_states states, so the orbit is
-    complete only if fewer were yielded.
+    A state is a tuple of ids, one per factor braid, into the intern table
+    (keys, intern) of _interner; keys[i] is the factor's nf_key, so the
+    state's canonical key is tuple(keys[i] for i in state).  The moves
+    at i replace the factors (a, b) by (b, b^-1 a b) ("left") or
+    (a b a^-1, a) ("right"), the braids hurwitz_move gives.  Both moves of
+    an adjacent id pair are computed once, the first time a state with
+    that pair is expanded, and kept in a move table keyed by the pair; the
+    table keeps only the moves whose new factor has canonical length at
+    most nf_bound.  So every state past start has all its factors within
+    the bound, and the whole child is checked only when start itself has a
+    factor above it.  start comes first with the empty path; moves are
+    tried in ascending index order, "left" before "right".  The search
+    stops after max_states states, so the orbit is complete only if fewer
+    were yielded.
     """
+    start = tuple(map(intern, start))
+    table: dict[tuple[int, int], tuple] = {}
 
-    def moves(state, _):
+    def pair_moves(pair):
+        a, b = pair
+        ka, kb = keys[a], keys[b]
+        new_left = intern(nf_mul(d, nf_inv(d, kb), ka, kb))
+        new_right = intern(nf_mul(d, ka, kb, nf_inv(d, ka)))
+        moves = []
+        if len(keys[new_left][1]) <= nf_bound:
+            moves.append(("left", (b, new_left)))
+        if len(keys[new_right][1]) <= nf_bound:
+            moves.append(("right", (new_right, a)))
+        table[pair] = moves = tuple(moves)
+        return moves
+
+    over = any(len(keys[f][1]) > nf_bound for f in start)
+
+    def children(state, path):
         for i in range(1, len(state)):
-            a, b = state[i - 1], state[i]
-            left = (b, nf_mul(d, nf_inv(d, b), a, b))
-            right = (nf_mul(d, a, b, nf_inv(d, a)), a)
-            for direction, moved in (("left", left), ("right", right)):
-                key = state[: i - 1] + moved + state[i + 1 :]
-                if all(len(pair[1]) <= nf_bound for pair in key):
-                    yield (i, direction), key
+            pair = state[i - 1 : i + 1]
+            moves = table.get(pair)
+            if moves is None:
+                moves = pair_moves(pair)
+            for direction, moved in moves:
+                child = state[: i - 1] + moved + state[i + 1 :]
+                if over and not path and any(len(keys[f][1]) > nf_bound for f in child):
+                    continue
+                yield (i, direction), child
 
-    return islice(bfs(start, moves), max_states)
+    return islice(bfs(start, children), max_states)
 
 
 def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorization:
@@ -165,17 +217,21 @@ def decide_equivalence(
 ) -> EquivalenceVerdict:
     """Search for a move path plus conjugation carrying F1 to F2.
 
-    Fingerprints are compared first; a differing field is a sound negative
-    certificate.  Otherwise the move orbit of F1 is explored breadth first
-    (moves in ascending index order, "left" before "right"), matching
-    against F2 conjugated by each of the first max_states short braids:
-    those are indexed by their image of F2's first factor, and F2's other
-    factors are conjugated only by the braids a state's first factor hits,
-    each braid at most once.  The first braid in enumeration order that
-    matches is the conjugator.  An "equivalent" verdict is replayed and
-    verified factor by factor.  Raises ValidationError (a ValueError) for
-    an input that does not validate, and ValueError for differing strand
-    counts or targets and for non-positive budgets.
+    Each input is validated and keyed once; its canonical key serves both
+    its fingerprint and the search.  Fingerprints are compared first; a
+    differing field is a sound negative certificate.  Otherwise the move
+    orbit of F1 is explored breadth first (moves in ascending index order,
+    "left" before "right") over states of factor ids, with each adjacent id
+    pair's moves computed once (see _orbit).  States are matched against F2
+    conjugated by each of the first max_states short braids: those are
+    indexed by the id of their image of F2's first factor, and F2's other
+    factors are conjugated, into ids of the same table, only by the braids
+    a state's first factor hits, each braid at most once.  The first braid
+    in enumeration order that matches is the conjugator.  An "equivalent"
+    verdict is replayed and verified factor by factor.  Raises
+    ValidationError (a ValueError) for an input that does not validate, and
+    ValueError for differing strand counts or targets and for non-positive
+    budgets.
     """
     if F1.strands != F2.strands:
         raise ValueError("strand counts differ")
@@ -186,8 +242,8 @@ def decide_equivalence(
     if budget.max_factor_nf_length is not None and budget.max_factor_nf_length <= 0:
         raise ValueError("budgets must be positive")
 
-    # fingerprint raises ValidationError for an input that does not validate
-    for field, v1, v2 in _fingerprint_fields(fingerprint(F1), fingerprint(F2)):
+    f1, f2 = (_validated_key(F) for F in (F1, F2))
+    for field, v1, v2 in _fingerprint_fields(_fingerprint(F1, f1), _fingerprint(F2, f2)):
         if v1 != v2:
             return EquivalenceVerdict(
                 "distinguished", field=field, values=(str(v1), str(v2))
@@ -195,33 +251,35 @@ def decide_equivalence(
 
     # match index: state G hits when G equals conjugate_all(F2, z^-1), whose
     # factors are z f z^-1 for the factors f of F2.  The conjugators are
-    # indexed, in stream order, by their image of F2's first factor (a slice,
-    # so a factorization with no factors has one key, ()); the other factors
-    # are conjugated only for a state whose first factor hits, once per
-    # conjugator.  The first conjugator in stream order that carries F2 to
-    # the state is the one returned.
+    # indexed, in stream order, by the id of their image of F2's first
+    # factor (a slice, so a factorization with no factors has one key, ());
+    # the other factors are conjugated only for a state whose first factor
+    # hits, once per conjugator.  The first conjugator in stream order that
+    # carries F2 to the state is the one returned.
     d = F1.strands
-    f1, f2 = canonical_key(F1), canonical_key(F2)
+    keys, intern = _interner()
     index: dict[tuple, list] = {}
     for zkey, letters in islice(_braids(d, budget.conjugator_length_bound), budget.max_states):
-        head = tuple(nf_mul(d, zkey, f, nf_inv(d, zkey)) for f in f2[:1])
+        head = tuple(intern(nf_mul(d, zkey, f, nf_inv(d, zkey))) for f in f2[:1])
         index.setdefault(head, []).append((zkey, letters))
-    images: dict[tuple[int, ...], tuple] = {}  # letters -> F2 conjugated by them
+    images: dict[tuple[int, ...], tuple] = {}  # letters -> ids of F2 conjugated by them
 
-    def conjugator_to(key):
-        for zkey, letters in index.get(key[:1], ()):
+    def conjugator_to(state):
+        for zkey, letters in index.get(state[:1], ()):
             if letters not in images:
                 zinv = nf_inv(d, zkey)
-                images[letters] = key[:1] + tuple(nf_mul(d, zkey, f, zinv) for f in f2[1:])
-            if images[letters] == key:
+                images[letters] = state[:1] + tuple(
+                    intern(nf_mul(d, zkey, f, zinv)) for f in f2[1:]
+                )
+            if images[letters] == state:
                 return letters
         return None
 
     states = 0
     nf_bound = _nf_bound(budget.max_factor_nf_length, f1, f2)
-    for key, path in _orbit(d, f1, nf_bound, budget.max_states):
+    for state, path in _orbit(d, f1, nf_bound, budget.max_states, keys, intern):
         states += 1
-        letters = conjugator_to(key)
+        letters = conjugator_to(state)
         if letters is not None:
             z = BraidWord(d, letters)
             if canonical_key(replay(F1, path, z)) != f2:
@@ -236,13 +294,18 @@ def explore_orbit(
     F: Factorization, max_states: int, max_factor_nf_length: int | None = None
 ):
     """At most max_states canonical keys of the bounded Hurwitz-move orbit
-    of F, and whether they are the whole bounded orbit."""
+    of F, and whether they are the whole bounded orbit.  Raises ValueError
+    for a non-positive max_states or max_factor_nf_length."""
     if max_states <= 0:
         raise ValueError("max_states must be positive")
+    if max_factor_nf_length is not None and max_factor_nf_length <= 0:
+        raise ValueError("max_factor_nf_length must be positive")
     start = canonical_key(F)
     nf_bound = _nf_bound(max_factor_nf_length, start)
-    keys = frozenset(key for key, _ in _orbit(F.strands, start, nf_bound, max_states))
-    return keys, len(keys) < max_states
+    keys, intern = _interner()
+    states = _orbit(F.strands, start, nf_bound, max_states, keys, intern)
+    found = frozenset(tuple(keys[f] for f in state) for state, _ in states)
+    return found, len(found) < max_states
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,30 @@ def test_orbit_matches_reference_search():
     assert reference_orbit(CUBIC, 4, 200) == (explore_orbit(CUBIC, 2000, 4)[0], True)
 
 
+def test_orbit_with_the_start_over_the_bound_matches_reference():
+    # every later state is within the bound, but a child of the start keeps
+    # start factors the move leaves alone, so those are checked too
+    for F, nf_bound in ((CUBIC, 1), (CUBIC, 2), (QUARTIC, 2)):
+        assert any(len(pair[1]) > nf_bound for pair in canonical_key(F))
+        others = (
+            F,
+            hurwitz_move(F, 2, "right"),
+            conjugate_all(hurwitz_move(F, 1, "left"), BraidWord(F.strands, (1,))),
+        )
+        for cap in (5, 50, 300):
+            assert explore_orbit(F, cap, nf_bound) == reference_orbit(F, nf_bound, cap)
+            budget = SearchBudget(max_states=cap, max_factor_nf_length=nf_bound)
+            for F2 in others:
+                v = decide_equivalence(F, F2, budget)
+                assert v == reference_decide(F, F2, budget), (F, nf_bound, cap, F2)
+
+
+def test_orbit_rejects_a_nonpositive_nf_bound():
+    for bound in (0, -3):
+        with pytest.raises(ValueError):
+            explore_orbit(CUBIC, 10, bound)
+
+
 def test_decide_validates_each_input_once(monkeypatch):
     calls = []
 
@@ -206,6 +230,32 @@ def test_decide_conjugates_other_factors_only_on_a_hit(monkeypatch):
     assert len(products) == 1
 
 
+def test_decide_fills_each_pair_move_once_and_lazily(monkeypatch):
+    products = []
+
+    def counting_nf_mul(d, *keys):
+        products.append(keys)
+        return braid.nf_mul(d, *keys)
+
+    monkeypatch.setattr(equivalence, "nf_mul", counting_nf_mul)
+    far = conjugate_all(QUARTIC, BraidWord(4, (1, 2, 3)))
+    budget = SearchBudget(max_states=300, conjugator_length_bound=2)
+    v = decide_equivalence(QUARTIC, far, budget)
+    assert (v.outcome, v.states) == ("inconclusive", 300)
+    # the states the search expanded: those up to the parent of the last one
+    nf_bound = 2 * max(len(pair[1]) for F in (QUARTIC, far) for pair in canonical_key(F))
+    walk = list(islice(reference_walk(QUARTIC, nf_bound), 300))
+    paths = [path for _, path in walk]
+    expanded = walk[: paths.index(paths[-1][:-1]) + 1]
+    pairs = {pair for key, _ in expanded for pair in zip(key, key[1:])}
+    # products that conjugate a factor of far by a drawn braid belong to
+    # the match index; the rest are the move table's, two per pair at most
+    zkeys = {braid.nf_key(z) for z in enumerate_braids(4, 2)}
+    f2 = set(canonical_key(far))
+    moves = [keys for keys in products if not (keys[0] in zkeys and keys[1] in f2)]
+    assert len(moves) == len(set(moves)) <= 2 * len(pairs)
+
+
 def reference_decide(F1, F2, budget):
     """decide_equivalence past its fingerprints, with the full match table:
     F2 conjugated by each of the first max_states braids of enumerate_braids,
@@ -261,6 +311,26 @@ def test_decide_matches_the_full_table_reference():
             v = decide_equivalence(A, B, budget)
             assert v == reference_decide(A, B, budget), (case, budget)
             outcomes.add(v.outcome)
+    assert outcomes == {"equivalent", "inconclusive"}
+
+
+def test_decide_matches_the_reference_on_seeded_scrambles():
+    rng = random.Random(23)
+    outcomes = set()
+    for F1 in (CONIC, CUBIC, QUARTIC):
+        d = F1.strands
+        for _ in range(4):
+            F2 = F1
+            for _ in range(2):
+                F2 = hurwitz_move(F2, rng.randint(1, F2.r - 1), rng.choice(("left", "right")))
+            z = tuple(rng.choice((1, -1)) * rng.randint(1, d - 1) for _ in range(rng.randint(1, 2)))
+            F2 = conjugate_all(F2, BraidWord(d, z))
+            for cap in (50, 300):
+                for bound in (1, 2):
+                    budget = SearchBudget(max_states=cap, conjugator_length_bound=bound)
+                    v = decide_equivalence(F1, F2, budget)
+                    assert v == reference_decide(F1, F2, budget), (F1, F2, budget)
+                    outcomes.add(v.outcome)
     assert outcomes == {"equivalent", "inconclusive"}
 
 
