@@ -117,20 +117,19 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
 {
     int *fac = raw;
     int *inv = alloc_ints(n, d);
-    Py_ssize_t k = 0, m, lead, folds = 0;
-    PyObject *out, *lead_obj, *total, *result;
+    Py_ssize_t k = 0, m, folds = 0;
+    PyObject *out, *folds_obj, *total, *result;
 
     if (inv == NULL)
         return NULL;
 
     /* Append factors one at a time, combing backwards after each append
      * (one pass suffices by the domino rule; see garside_py._comb); the
-     * kept factors are compacted to the front of raw.  A half twist that
-     * forms at slot m is folded into the Delta power at once: it is
-     * dropped, the m factors before it become tau(x), and the comb of this
-     * append stops (see garside_py._comb for why that is the form the
-     * slides give).  A tau is d int moves a row here, so unlike the pure
-     * comb this one does not defer it. */
+     * kept factors are compacted to the front of raw.  A half twist at
+     * slot m, appended or formed by a pair step, is folded into the Delta
+     * power at once: it is dropped, the m factors before it become tau(x),
+     * and the comb of this append stops (see garside_py._comb for why that
+     * is the form the slides give). */
     for (Py_ssize_t j = 0; j < n; j++) {
         int *p = raw + j * d;
         if (is_identity(p, d))
@@ -140,45 +139,38 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
         for (int x = 0; x < d; x++)
             inv[k * d + fac[k * d + x]] = x;
         k++;
-        for (m = k - 2; m >= 0; m--) {
-            if (!fix_pair(fac + m * d, inv + m * d,
-                          fac + (m + 1) * d, inv + (m + 1) * d, d))
+        for (m = k - 1; m > 0 && !is_w0(fac + m * d, d); m--) {
+            if (!fix_pair(fac + (m - 1) * d, inv + (m - 1) * d,
+                          fac + m * d, inv + m * d, d))
                 break;
-            if (is_identity(fac + (m + 1) * d, d)) {
-                drop(fac, inv, m + 1, k, d);
-                k--;
-            }
-            if (is_w0(fac + m * d, d)) {
+            if (is_identity(fac + m * d, d)) {
                 drop(fac, inv, m, k, d);
                 k--;
-                for (Py_ssize_t r = 0; r < m; r++) {
-                    tau(fac + r * d, d);
-                    tau(inv + r * d, d);
-                }
-                folds++;
-                break;
             }
+        }
+        if (is_w0(fac + m * d, d)) {
+            drop(fac, inv, m, k, d);
+            k--;
+            for (Py_ssize_t r = 0; r < m; r++) {
+                tau(fac + r * d, d);
+                tau(inv + r * d, d);
+            }
+            folds++;
         }
     }
 
     PyMem_Free(inv);
 
-    /* Half twists appended with no changed pair before them stay at the
-     * front; they join the Delta power with the folded ones. */
-    lead = 0;
-    while (lead < k && is_w0(fac + lead * d, d))
-        lead++;
-
-    out = PyTuple_New(k - lead);
+    out = PyTuple_New(k);
     if (out == NULL)
         return NULL;
-    for (m = lead; m < k; m++) {
+    for (m = 0; m < k; m++) {
         PyObject *t = PyTuple_New(d);
         if (t == NULL) {
             Py_DECREF(out);
             return NULL;
         }
-        PyTuple_SET_ITEM(out, m - lead, t);
+        PyTuple_SET_ITEM(out, m, t);
         for (int x = 0; x < d; x++) {
             PyObject *v = PyLong_FromLong(fac[m * d + x]);
             if (v == NULL) {
@@ -190,10 +182,10 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
     }
 
     result = NULL;
-    lead_obj = PyLong_FromSsize_t(lead + folds);
-    if (lead_obj != NULL) {
-        total = PyNumber_Add(inf, lead_obj);
-        Py_DECREF(lead_obj);
+    folds_obj = PyLong_FromSsize_t(folds);
+    if (folds_obj != NULL) {
+        total = PyNumber_Add(inf, folds_obj);
+        Py_DECREF(folds_obj);
         if (total != NULL) {
             result = PyTuple_Pack(2, total, out);
             Py_DECREF(total);

@@ -34,11 +34,10 @@ the comb terminates, and the left-weighted pair for a fixed product is
 unique, so the order of the slides does not change the result.  Factors
 are appended on the right and combed backwards; once a comb step leaves
 the left factor unchanged the prefix is still left-weighted and the comb
-stops.  A half twist that forms partway through the comb stops it too: it
-is folded into the Delta power where it forms, and the factors before it
-are conjugated by tau instead of each being passed by it one crossing at a
-time.  That tau is deferred until the comb next reaches a factor, or to
-the end, since each one builds a new tuple.
+stops.  A half twist, appended or formed by a comb step, stops it too: it
+is dropped into the Delta power where it stands, and every factor before
+it becomes tau of itself at once, instead of each being passed by it one
+crossing at a time.
 
 Factors are immutable int tuples throughout, so one comb step is a pure
 function of its pair, and _fix_pair and _tau are memoised by bounded
@@ -161,61 +160,32 @@ def _comb(d, inf, raw):
     # the product (the domino rule of greedy normal forms), so no second
     # pass is needed; a factor can only be absorbed at the tail.
     #
-    # A half twist that forms at j is folded into the Delta power at once
-    # instead of being slid to the front one factor at a time:
+    # a is the factor at slot j.  A half twist there folds at once:
     # x_0..x_(j-1) Delta = Delta tau(x_0)..tau(x_(j-1)), tau is an
     # automorphism, and by the domino rule the new seam (tau(x_(j-1)),
     # x_(j+1)) is left-weighted, so the result is the one the slides give.
-    # The prefix's tau is deferred: owed holds each m whose factors[0..m]
-    # owe one tau relative to factors[m + 1] (a second tau cancels the
-    # first, hence ^=).  The comb pays a factor's debt when it reaches the
-    # factor and passes the rest down to m - 1, so owed never reaches the
-    # comb or the last factor, and dropping a factor shifts none of it;
-    # what is still owed at the end is paid from the right.
     factors = []
-    owed = set()
-    for p in raw:
-        if p == identity:
+    for a in raw:
+        if a == identity:
             continue
-        factors.append(p)
-        j = len(factors) - 2
-        while j >= 0:
-            if owed and j in owed:
-                factors[j] = _tau(factors[j])
-                owed.remove(j)
-                if j:
-                    owed ^= {j - 1}
-            pair = _fix_pair(factors[j], factors[j + 1])
+        j = len(factors)
+        factors.append(a)
+        while j and a != w0:
+            pair = _fix_pair(factors[j - 1], a)
             if pair is None:
                 break
             a, b = pair
             if b == identity:
-                del factors[j + 1]
-            else:
-                factors[j + 1] = b
-            if a == w0:
                 del factors[j]
-                if j:
-                    owed ^= {j - 1}
-                inf += 1
-                break
-            factors[j] = a
+            else:
+                factors[j] = b
             j -= 1
-
-    if owed:
-        odd = False
-        for m in range(len(factors) - 1, -1, -1):
-            odd ^= m in owed
-            if odd:
-                factors[m] = _tau(factors[m])
-
-    # A half twist appended to an empty comb (or behind leading ones) meets
-    # no changed pair; it stays at the front and joins the Delta power here.
-    lead = 0
-    while lead < len(factors) and factors[lead] == w0:
-        lead += 1
-
-    return inf + lead, tuple(factors[lead:])
+            factors[j] = a
+        if a == w0:
+            del factors[j]
+            factors[:j] = map(_tau, factors[:j])
+            inf += 1
+    return inf, tuple(factors)
 
 
 def normal_form(d, letters):

@@ -336,8 +336,10 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     Words are enumerated by length, then lexicographically by letter tuple
     (letters ordered as integers); each braid is represented by the first
     word that reaches it, so the result is sorted by that order and starts
-    with the empty word.
+    with the empty word.  A negative max_len is a ValueError.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     return tuple(BraidWord(d, word) for _, word in _braids(d, max_len))
 
 

@@ -57,7 +57,10 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
     """Compute the invariant fingerprint of a validated factorization.
 
     Its exponent sum is the target's, which the factors' sum equals once F
-    validates."""
+    validates.  A conjugacy_budget of 0 leaves out the conjugacy keys; a
+    negative one is a ValueError."""
+    if conjugacy_budget < 0:
+        raise ValueError("conjugacy_budget must be nonnegative")
     return _fingerprint(F, _validated_key(F), conjugacy_budget)
 
 

@@ -247,6 +247,12 @@ def test_enumerate_braids_matches_all_words():
         assert [w.letters for w in enumerate_braids(d, max_len)] == expected
 
 
+def test_enumerate_braids_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_braids(3, -1)
+    assert enumerate_braids(3, 0) == (identity_word(3),)
+
+
 def test_conjugacy_basics():
     b3 = lambda *ls: BraidWord(3, ls)
     res = conjugacy_test(b3(1), b3(2), 2000)

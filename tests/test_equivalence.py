@@ -68,6 +68,12 @@ def test_fingerprint_fields():
     assert fp.conjugacy_keys is not None and len(fp.conjugacy_keys) == 4
 
 
+def test_fingerprint_rejects_a_negative_conjugacy_budget():
+    with pytest.raises(ValueError, match="conjugacy_budget"):
+        fingerprint(CUBIC, conjugacy_budget=-1)
+    assert fingerprint(CUBIC, conjugacy_budget=0) == fingerprint(CUBIC)
+
+
 def test_fingerprint_requires_validation():
     with pytest.raises(ValueError):
         fingerprint(cuspidal(2, ((), 1)))
