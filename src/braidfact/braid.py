@@ -213,8 +213,22 @@ def normalized(w: BraidWord) -> BraidWord:
 
 
 def equals(u: BraidWord, v: BraidWord) -> bool:
+    """Whether u and v are the same braid, checked in this order:
+
+    1. different strand counts are a ValueError;
+    2. identical letter tuples are equal;
+    3. different exponent sums are unequal (the sum is the abelianization
+       B_d -> Z, so equal braids have equal sums);
+    4. otherwise the normal-form keys decide: nf_key(u) == nf_key(v).
+
+    Only step 4 forms normal forms.
+    """
     if u.strands != v.strands:
         raise ValueError(f"strand mismatch: {u.strands} vs {v.strands}")
+    if u.letters == v.letters:
+        return True
+    if exponent_sum(u) != exponent_sum(v):
+        return False
     return nf_key(u) == nf_key(v)
 
 
@@ -429,7 +443,7 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
     u and v go to summit elements; if their inf and canonical length differ
     they are not conjugate, and otherwise u's super summit set is closed
     until v's summit element appears in it.  "conjugate" always carries a
-    witness z verified to satisfy equals(conjugate(u, z), v);
+    witness z verified to satisfy nf_key(conjugate(u, z)) == nf_key(v);
     "not_conjugate" names a separating invariant or reports a completed
     super summit set of u without v's summit element; "unknown" means the
     budget ran out first.
@@ -442,13 +456,14 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         return ConjugacyResult("not_conjugate", reason="exponent_sum")
     if cycle_type(permutation_of(u)) != cycle_type(permutation_of(v)):
         return ConjugacyResult("not_conjugate", reason="permutation_cycle_type")
-    if equals(u, v):
+    ku, kv = nf_key(u), nf_key(v)
+    if ku == kv:
         return ConjugacyResult("conjugate", witness=identity_word(u.strands))
     d = u.strands
     wb = WorkBudget(budget)
     try:
-        ukey, zu = _summit(d, nf_key(u), wb)
-        vkey, zv = _summit(d, nf_key(v), wb)
+        ukey, zu = _summit(d, ku, wb)
+        vkey, zv = _summit(d, kv, wb)
         if (ukey[0], len(ukey[1])) != (vkey[0], len(vkey[1])):
             return ConjugacyResult(
                 "not_conjugate", reason="summit_inf_and_length", work=wb.used
@@ -462,7 +477,7 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
         )
     z = nf_mul(d, *(_simple_steps(d)[i][0] for i in path))
     witness = BraidWord(d, nf_letters(d, nf_mul(d, zu, z, nf_inv(d, zv))))
-    if not equals(conjugate(u, witness), v):
+    if nf_key(conjugate(u, witness)) != kv:
         raise AssertionError("conjugacy witness failed verification")
     return ConjugacyResult("conjugate", witness=witness, work=wb.used)
 

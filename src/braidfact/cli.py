@@ -27,6 +27,7 @@ from .braid import (
     parse_word,
 )
 from .complement import (
+    HOMS_MAX_WORK,
     enumerate_homs,
     format_homs,
     format_presentation,
@@ -271,6 +272,10 @@ def _cmd_homs(args) -> int:
         )
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    except SearchBudgetExceeded:
+        print("count=unknown")
+        print(f"note: the search ran out of its {HOMS_MAX_WORK} units of work", file=sys.stderr)
+        return 2
     out = format_homs(homs)
     if out:
         sys.stdout.write(out)

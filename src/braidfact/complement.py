@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .braid import MAX_STRANDS, BraidWord, bfs, cycles, equals, free_reduce, full_twist
-from .errors import FormatError
+from .errors import FormatError, WorkBudget
 from .factorization import Factorization, validate
 
 
@@ -253,6 +253,7 @@ def _class_minima(n: int) -> list[tuple[int, ...]]:
 
 
 HOMS_MAX_N, HOMS_MAX_GENS = 7, 8  # caps of enumerate_homs: n of S_n, and generators
+HOMS_MAX_WORK = 200_000  # enumerate_homs' work: candidate images tried plus conjugates formed
 
 
 def enumerate_homs(
@@ -272,6 +273,10 @@ def enumerate_homs(
     it generates S_n is decided once per class.  With up_to_conjugacy the
     least member of each class is returned, otherwise every member; with
     epi_only only images generating S_n.  The result is sorted by images.
+
+    The caps bound the input, and HOMS_MAX_WORK the time: one unit of work
+    per candidate image tried and one per conjugate formed while closing
+    a class; past it SearchBudgetExceeded is raised.
     """
     if n < 1 or n > HOMS_MAX_N:
         raise ValueError(f"n must be in 1..{HOMS_MAX_N}")
@@ -284,6 +289,7 @@ def enumerate_homs(
     for r in P.relators:
         by_last_gen.setdefault(r.max_index(), []).append(r.letters)
 
+    budget = WorkBudget(HOMS_MAX_WORK)
     images: list[tuple[int, ...]] = []
     seen: set = set()
     found: list[tuple[tuple[tuple[int, ...], ...], bool]] = []
@@ -305,10 +311,10 @@ def enumerate_homs(
             if tup in seen:
                 return
             # a conjugate of a homomorphism is a homomorphism
-            cls = {
-                tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup)
-                for c, c_inv in inverse.items()
-            }
+            cls = set()
+            for c, c_inv in inverse.items():
+                budget.tick()
+                cls.add(tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup))
             seen.update(cls)
             epi = _generates_full(tup, n)
             if epi or not epi_only:
@@ -316,6 +322,7 @@ def enumerate_homs(
             return
         words = by_last_gen.get(g, ())
         for p in _class_minima(n) if g == 1 else inverse:
+            budget.tick()
             images.append(p)
             if all(map(holds, words)):
                 assign(g + 1)

@@ -130,6 +130,77 @@ def test_equals_relations():
         equals(BraidWord(3, (1,)), BraidWord(4, (1,)))
 
 
+def equals_cases(rng):
+    """Seeded (u, v, kind) pairs in B_2..B_8: rewritten equal pairs, one
+    letter swapped for another of the same sign (equal exponent sums), one
+    letter's sign flipped (sums differ by 2), identical and empty words."""
+    for d in range(2, 9):
+        yield BraidWord(d, ()), BraidWord(d, ()), "empty"
+        for _ in range(12):
+            w = rand_word(rng, d, rng.randint(1, 30))
+            yield w, BraidWord(d, w.letters), "identical"
+            yield w, rewrite_equivalent(rng, w, rng.randint(1, 10)), "rewritten"
+            j = rng.randrange(len(w))
+            letters = list(w.letters)
+            letters[j] = -letters[j]
+            yield w, BraidWord(d, tuple(letters)), "sum_differs"
+            if d > 2:
+                k = w.letters[j]
+                letters[j] = rng.choice([x for x in range(1, d) if x != abs(k)]) * (1 if k > 0 else -1)
+                yield w, BraidWord(d, tuple(letters)), "same_sign_swap"
+
+
+def test_equals_agrees_with_normal_form_keys():
+    kinds = {}
+    for u, v, kind in equals_cases(random.Random(2503)):
+        same = equals(u, v)
+        assert same == (nf_key(u) == nf_key(v)) == equals(v, u), (u, v, kind)
+        kinds.setdefault(kind, set()).add(same)
+        if kind in ("same_sign_swap", "sum_differs"):
+            assert (exponent_sum(u) == exponent_sum(v)) == (kind == "same_sign_swap")
+    # x a y and x b y are different braids when a and b are
+    assert kinds == {
+        "empty": {True},
+        "identical": {True},
+        "rewritten": {True},
+        "same_sign_swap": {False},
+        "sum_differs": {False},
+    }
+
+
+def test_equals_settles_identical_words_and_differing_sums_without_normal_forms():
+    rng = random.Random(2539)
+    w = rand_word(rng, 7, 60)
+    before = braid._cached_nf.cache_info()
+    assert equals(w, BraidWord(7, w.letters))
+    assert not equals(w, compose(w, BraidWord(7, (3,))))
+    assert braid._cached_nf.cache_info() == before  # not even a lookup
+
+
+def count_letter_entry(monkeypatch) -> list:
+    """Record every call of the kernel's letter entry, from a cold memo."""
+    calls = []
+    kernel = braid._kernel_normal_form
+    monkeypatch.setattr(braid, "_kernel_normal_form", lambda *a: calls.append(a) or kernel(*a))
+    braid._cached_nf.cache_clear()
+    return calls
+
+
+def test_conjugacy_test_forms_each_normal_form_once(monkeypatch):
+    # u, v and the witness check u^z: one letter-entry call each
+    calls = count_letter_entry(monkeypatch)
+    u = BraidWord(4, (1, -2, 3, 3, -1, 2))
+    v = conjugate(u, BraidWord(4, (2, -3)))
+    res = conjugacy_test(u, v, 20000)
+    assert res.outcome == "conjugate"
+    assert calls == [(4, u.letters), (4, v.letters), (4, conjugate(u, res.witness).letters)]
+    # equal braids are conjugate by the identity, from their two normal forms
+    calls = count_letter_entry(monkeypatch)
+    w = BraidWord(4, (1, -2, 3, -1, 3, 2))  # u with a far commutation
+    assert conjugacy_test(u, w, 20000).witness == identity_word(4)
+    assert calls == [(4, u.letters), (4, w.letters)]
+
+
 def test_rewrites_preserve_canonical_form():
     rng = random.Random(31337)
     for _ in range(150):

@@ -95,6 +95,23 @@ def test_nf_and_eq(capsys):
     assert code == 1 and out == "equal=false\n"
 
 
+def test_eq_settles_identical_words_and_differing_sums(capsys):
+    assert run(capsys, "eq", "5", "1 -2 3 4 -1", "1 -2 3 4 -1") == (0, "equal=true\n", "")
+    assert run(capsys, "eq", "5", "1 -2 3 4 -1", "1 -2 3 -4 -1") == (1, "equal=false\n", "")
+    assert run(capsys, "eq", "3", "", "") == (0, "equal=true\n", "")
+
+
+def test_homs_out_of_work_is_inconclusive(capsys, tmp_path):
+    # three free generators into S_5: about 10^5 candidates and 10^6 conjugates
+    pres = tmp_path / "free3.pres"
+    pres.write_text("3\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homs", str(pres), "5")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (2, "count=unknown\n")
+    assert "work" in err and "Traceback" not in err
+
+
 def test_nf_factors_reparse_to_same_braid(capsys):
     # positive word keeps inf >= 0 so the printed factors alone rebuild it
     code, out, _ = run(capsys, "nf", "4", "2 1 3 2 2 1 3")

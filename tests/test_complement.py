@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from braidfact import complement
 from braidfact.braid import BraidWord, cycle_type, full_twist
 from braidfact.complement import (
     FinitePresentation,
@@ -22,7 +23,7 @@ from braidfact.complement import (
     simplify,
     zvk_presentation,
 )
-from braidfact.errors import FormatError
+from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
     Factorization,
@@ -274,6 +275,16 @@ def test_enumerate_homs_is_deterministic_and_sorted():
     b = enumerate_homs(S3_PRES, 3)
     assert a == b
     assert a == sorted(a, key=lambda h: h.images)
+
+
+def test_enumerate_homs_work_limit(monkeypatch):
+    # Z into S_3: 3 class minima tried, each a new class of 6 conjugates
+    Z = FinitePresentation(1, ())
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 21)
+    assert len(enumerate_homs(Z, 3)) == 3
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 20)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_homs(Z, 3)
 
 
 def test_enumerate_homs_caps():
