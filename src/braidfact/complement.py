@@ -70,6 +70,20 @@ class FinitePresentation:
                 raise ValueError("relator uses a generator out of range")
 
 
+def _substitute(letters: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Freely reduced image of a word under x_g -> table[g]; generators not in the table are fixed."""
+    images = {-g: tuple(-k for k in reversed(img)) for g, img in table.items()}
+    images.update(table)
+    out: list[int] = []
+    for l in letters:
+        for k in images.get(l, (l,)):
+            if out and out[-1] == -k:
+                out.pop()
+            else:
+                out.append(k)
+    return tuple(out)
+
+
 def artin_action(w: BraidWord, u: FreeWord) -> FreeWord:
     """Action of a braid word on the free group F_d, first letter first.
 
@@ -81,37 +95,29 @@ def artin_action(w: BraidWord, u: FreeWord) -> FreeWord:
     letters = u.letters
     for k in w.letters:
         i = abs(k)
-        out: list[int] = []
-        for l in letters:
-            a = abs(l)
-            if k > 0:
-                if a == i:
-                    img = (i, i + 1, -i)
-                elif a == i + 1:
-                    img = (i,)
-                else:
-                    img = (a,)
-            else:
-                if a == i:
-                    img = (i + 1,)
-                elif a == i + 1:
-                    img = (-(i + 1), i, i + 1)
-                else:
-                    img = (a,)
-            if l < 0:
-                img = tuple(-x for x in reversed(img))
-            out.extend(img)
-        letters = free_reduce(out)
+        if k > 0:
+            table = {i: (i, i + 1, -i), i + 1: (i,)}
+        else:
+            table = {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+        letters = _substitute(letters, table)
     return FreeWord(letters)
+
+
+# the model word of a factor's local relator, by s
+_LOCAL_RELATORS = {
+    1: FreeWord((1, -2)),
+    2: FreeWord((1, 2, -1, -2)),
+    3: FreeWord((1, 2, 1, -2, -1, -2)),
+}
 
 
 def zvk_presentation(F: Factorization) -> FinitePresentation:
     """Present the complement group of a validated full-twist factorization.
 
-    For a factor (rho, s) let a and b be the images of x_1 and x_2 under
-    the action of rho.  The relator is a b^-1 for s=1, the commutator
-    a b a^-1 b^-1 for s=2, and a b a b^-1 a^-1 b^-1 for s=3.  Relators are
-    emitted in factor order, then the projective relator x_d ... x_2 x_1.
+    The relator of a factor (rho, s) is the image under the action of rho
+    of a model word: x_1 x_2^-1 for s=1, the commutator x_1 x_2 x_1^-1
+    x_2^-1 for s=2, and x_1 x_2 x_1 x_2^-1 x_1^-1 x_2^-1 for s=3.  Relators
+    are emitted in factor order, then the projective relator x_d ... x_2 x_1.
     """
     if not F.is_cuspidal:
         raise ValueError("presentation requires the cuspidal variant")
@@ -120,40 +126,13 @@ def zvk_presentation(F: Factorization) -> FinitePresentation:
         raise ValueError("presentation requires the full-twist target")
     if not validate(F).product_ok:
         raise ValueError("factorization does not validate")
-    relators = []
-    for f in F.factors:
-        a = artin_action(f.rho, FreeWord((1,)))
-        b = artin_action(f.rho, FreeWord((2,)))
-        if f.s == 1:
-            r = a * b.inverse()
-        elif f.s == 2:
-            r = a * b * a.inverse() * b.inverse()
-        else:
-            r = a * b * a * b.inverse() * a.inverse() * b.inverse()
-        relators.append(r)
+    relators = [artin_action(f.rho, _LOCAL_RELATORS[f.s]) for f in F.factors]
     relators.append(FreeWord(tuple(range(d, 0, -1))))
     return FinitePresentation(d, tuple(relators))
 
 
 # ---------------------------------------------------------------------------
 # Tietze simplification
-
-
-def _substitute(r: FreeWord, gen: int, repl: FreeWord) -> FreeWord:
-    out: list[int] = []
-    for l in r.letters:
-        if l == gen:
-            out.extend(repl.letters)
-        elif l == -gen:
-            out.extend(repl.inverse().letters)
-        else:
-            out.append(l)
-    return FreeWord(tuple(out))
-
-
-def _drop_generator(r: FreeWord, gen: int) -> FreeWord:
-    assert all(abs(l) != gen for l in r.letters)
-    return FreeWord(tuple(l - 1 if l > gen else l + 1 if l < -gen else l for l in r.letters))
 
 
 def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
@@ -198,10 +177,10 @@ def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
         rest = FreeWord(rotated[1:])
         # rotated = (+-gen) . rest == 1, so gen = rest^-1 or gen = rest
         repl = rest.inverse() if rotated[0] > 0 else rest
-        relators = [
-            _drop_generator(_substitute(x, gen, repl), gen).cyclically_reduced()
-            for x in relators
-        ]
+        # gen goes to repl, and each higher generator moves down by one, repl's too
+        table = {h: (h - 1,) for h in range(gen + 1, ngens + 1)}
+        table[gen] = _substitute(repl.letters, table)
+        relators = [FreeWord(_substitute(x.letters, table)).cyclically_reduced() for x in relators]
         ngens -= 1
         steps += 1
     relators = [r for r in relators if r.letters]
