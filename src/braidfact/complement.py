@@ -1,11 +1,12 @@
 """Fundamental groups of plane-curve complements, at desk scale.
 
 From a validated cuspidal factorization of the full twist this module
-builds the standard finite presentation of the complement group (Artin
-action of each conjugator on the free group, one local relator per factor,
-one projective relator), simplifies presentations by Tietze moves,
-enumerates homomorphisms to small symmetric groups, and bounds group
-orders by coset enumeration.
+builds the standard finite presentation of the complement group (one
+local relator per factor, the image of a model word under the Artin action
+of its conjugator, then the projective relator x_1 ... x_d), simplifies
+presentations by Tietze moves, enumerates homomorphisms to small symmetric
+groups, and bounds group orders by coset enumeration.  The Artin action
+and Tietze elimination share one free-word substitution, `_substitute`.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def zvk_presentation(F: Factorization) -> FinitePresentation:
     The relator of a factor (rho, s) is the image under the action of rho
     of a model word: x_1 x_2^-1 for s=1, the commutator x_1 x_2 x_1^-1
     x_2^-1 for s=2, and x_1 x_2 x_1 x_2^-1 x_1^-1 x_2^-1 for s=3.  Relators
-    are emitted in factor order, then the projective relator x_d ... x_2 x_1.
+    are emitted in factor order, then the projective relator x_1 x_2 ... x_d,
+    the boundary loop: the word that every X_i^+-1 fixes under the action.
     """
     if not F.is_cuspidal:
         raise ValueError("presentation requires the cuspidal variant")
@@ -127,7 +129,7 @@ def zvk_presentation(F: Factorization) -> FinitePresentation:
     if not validate(F).product_ok:
         raise ValueError("factorization does not validate")
     relators = [artin_action(f.rho, _LOCAL_RELATORS[f.s]) for f in F.factors]
-    relators.append(FreeWord(tuple(range(d, 0, -1))))
+    relators.append(FreeWord(tuple(range(1, d + 1))))
     return FinitePresentation(d, tuple(relators))
 
 

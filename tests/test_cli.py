@@ -215,7 +215,7 @@ def test_decide_verdicts(capsys, cubic_file, conic_file, tmp_path):
 
 def test_pi1_order_homs_pipeline(capsys, conic_file, tmp_path):
     code, out, _ = run(capsys, "pi1", conic_file)
-    assert code == 0 and out == "2\n1 -2\n1 -2\n2 1\n"
+    assert code == 0 and out == "2\n1 -2\n1 -2\n1 2\n"
     pres = tmp_path / "conic.pres"
     pres.write_text(out)
     code, out, _ = run(capsys, "order", str(pres))

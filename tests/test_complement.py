@@ -27,6 +27,7 @@ from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
     Factorization,
+    conjugate_all,
     hurwitz_move,
     search_factorization,
 )
@@ -119,18 +120,69 @@ def test_full_twist_acts_by_one_global_conjugation():
 def test_zvk_presentation_shapes():
     P = zvk_presentation(CONIC)
     assert P.ngens == 2
-    assert [r.letters for r in P.relators] == [(1, -2), (1, -2), (2, 1)]
+    assert [r.letters for r in P.relators] == [(1, -2), (1, -2), (1, 2)]
 
     # a trivial-conjugator s=2 factor contributes the plain commutator
     nodal = search_factorization(3, (2, 2, 2), 2)
     P3 = zvk_presentation(nodal)
     assert P3.ngens == 3
     assert P3.relators[0].letters == (1, 2, -1, -2)
-    assert P3.relators[-1].letters == (3, 2, 1)
+    assert P3.relators[-1].letters == (1, 2, 3)
 
     # CUBIC's last factor is (rho empty, s=3): the plain cusp relator
     Pc = zvk_presentation(CUBIC)
     assert Pc.relators[3].letters == (1, 2, 1, -2, -1, -2)
+
+
+def generator_factor(d, j, s=1):
+    # rho^-1 X_1^s rho = X_j^s for rho = (X_2^-1 X_1^-1)(X_3^-1 X_2^-1)...(X_j^-1 X_{j-1}^-1)
+    return CuspidalFactor(BraidWord(d, tuple(l for i in range(1, j) for l in (-(i + 1), -i))), s)
+
+
+def letterwise(d):
+    """The full twist as d(d-1) branch points, one per letter of (X_1 ... X_{d-1})^d."""
+    return Factorization(d, tuple(generator_factor(d, j) for j in full_twist(d).letters))
+
+
+def test_projective_relator_is_fixed_by_every_generator():
+    for d in range(2, 9):
+        last = zvk_presentation(letterwise(d)).relators[-1]
+        for i in range(1, d):
+            for k in (i, -i):
+                assert artin_action(BraidWord(d, (k,)), last) == last, (d, k)
+
+
+def reference_relator(rho, s):
+    # the relator built from a = rho.x_1 and b = rho.x_2
+    a = artin_action(rho, FreeWord((1,)))
+    b = artin_action(rho, FreeWord((2,)))
+    if s == 1:
+        return a * b.inverse()
+    if s == 2:
+        return a * b * a.inverse() * b.inverse()
+    return a * b * a * b.inverse() * a.inverse() * b.inverse()
+
+
+def test_local_relators_match_the_images_of_x1_and_x2():
+    # the full twist of B_3 with a cusp (CUBIC) or a node (CONIC_LINE),
+    # times X_{k-1}...X_1 X_1...X_{k-1} for k = 4..d, scrambled by a
+    # seeded conjugation and Hurwitz moves
+    rng = random.Random(29)
+    for d in range(3, 7):
+        tail = tuple(
+            generator_factor(d, j) for k in range(4, d + 1) for j in (*range(k - 1, 0, -1), *range(1, k))
+        )
+        for base in (CUBIC, CONIC_LINE):
+            head = tuple(CuspidalFactor(BraidWord(d, f.rho.letters), f.s) for f in base.factors)
+            F = Factorization(d, head + tail)
+            z = tuple(rng.choice((1, -1)) * rng.randint(1, d - 1) for _ in range(rng.randint(1, 6)))
+            F = conjugate_all(F, BraidWord(d, z))
+            for _ in range(3):
+                F = hurwitz_move(F, rng.randint(1, F.r - 1), rng.choice(("left", "right")))
+            P = zvk_presentation(F)
+            assert {f.s for f in F.factors} == {1, base.factors[-1].s}
+            for f, r in zip(F.factors, P.relators):
+                assert r == reference_relator(f.rho, f.s), (d, f)
 
 
 def test_zvk_requires_validation_and_cuspidal_form():
@@ -357,7 +409,7 @@ def test_group_order_of_wide_finite_groups_at_a_tight_budget():
     for P, order, ngens, least in (
         (zvk_presentation(CUBIC), 3, 3, 5),  # 3 rows
         (zvk_presentation(QUARTIC_TWO_CUSP), 4, 4, 10),  # 5 rows
-        (zvk_presentation(QUARTIC_THREE_CUSP), 12, 4, 76),  # 38 rows
+        (zvk_presentation(QUARTIC_THREE_CUSP), 12, 4, 86),  # 43 rows
     ):
         assert P.ngens == ngens
         assert group_order(P, budget=least) == order
