@@ -104,8 +104,7 @@ def artin_action(w: BraidWord, u: FreeWord) -> FreeWord:
     return FreeWord(letters)
 
 
-# the model word of a factor's local relator, by s
-_LOCAL_RELATORS = {
+_MODEL_WORDS = {
     1: FreeWord((1, -2)),
     2: FreeWord((1, 2, -1, -2)),
     3: FreeWord((1, 2, 1, -2, -1, -2)),
@@ -128,7 +127,7 @@ def zvk_presentation(F: Factorization) -> FinitePresentation:
         raise ValueError("presentation requires the full-twist target")
     if not validate(F).product_ok:
         raise ValueError("factorization does not validate")
-    relators = [artin_action(f.rho, _LOCAL_RELATORS[f.s]) for f in F.factors]
+    relators = [artin_action(f.rho, _MODEL_WORDS[f.s]) for f in F.factors]
     relators.append(FreeWord(tuple(range(1, d + 1))))
     return FinitePresentation(d, tuple(relators))
 
