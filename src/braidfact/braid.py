@@ -117,16 +117,17 @@ def conjugate(u: BraidWord, z: BraidWord) -> BraidWord:
 
 
 def free_reduce(letters) -> tuple[int, ...]:
-    """Cancel adjacent inverse letters (k, -k); the letters become ints.
+    """Cancel adjacent inverse letters (k, -k) of a sequence of int letters.
 
-    Serves braid words (the braid is unchanged) and free-group words alike.
+    Serves braid words (the braid is unchanged) and free-group words alike;
+    callers check their letters first.
     """
     out: list[int] = []
     for k in letters:
         if out and out[-1] == -k:
             out.pop()
         else:
-            out.append(int(k))
+            out.append(k)
     return tuple(out)
 
 

@@ -298,11 +298,8 @@ def _cmd_order(args) -> int:
 
 def _cmd_arrangement(args) -> int:
     lattice = intersection_lattice(hesse_dual_lines())
-    if args.format == "structured":
-        for p, k in lattice:
-            print(f"point={p} mult={k}")
-    else:
-        sys.stdout.write(format_arrangement(lattice))
+    pairs = [("point", f"{p} mult={k}") for p, k in lattice]
+    _emit(args, pairs, format_arrangement(lattice).rstrip("\n"))
     return 0
 
 
@@ -313,13 +310,9 @@ def _cmd_invariants(args) -> int:
         raise _UsageError(str(e)) from None
     if not inv.in_standard_range:
         print(f"warning: m={inv.m} is below the standard range m >= 5", file=sys.stderr)
-    if args.format == "structured":
-        fields = ("m", "deg_f", "d", "g", "kappa", "n1", "delta")
-        for name in fields:
-            print(f"{name}={getattr(inv, name)}")
-        print(f"in_standard_range={_bool(inv.in_standard_range)}")
-    else:
-        sys.stdout.write(format_invariants(inv))
+    pairs = [(name, getattr(inv, name)) for name in ("m", "deg_f", "d", "g", "kappa", "n1", "delta")]
+    pairs.append(("in_standard_range", _bool(inv.in_standard_range)))
+    _emit(args, pairs, format_invariants(inv).rstrip("\n"))
     return 0
 
 

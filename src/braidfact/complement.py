@@ -5,8 +5,13 @@ builds the standard finite presentation of the complement group (one
 local relator per factor, the image of a model word under the Artin action
 of its conjugator, then the projective relator x_1 ... x_d), simplifies
 presentations by Tietze moves, enumerates homomorphisms to small symmetric
-groups, and bounds group orders by coset enumeration.  The Artin action
-and Tietze elimination share one free-word substitution, `_substitute`.
+groups, and bounds group orders by coset enumeration.
+
+Inside the module a word is a freely reduced tuple of nonzero int letters.
+`FreeWord` and `FinitePresentation` are the public types and sit at the
+boundary: they are the only places that check words arriving from outside.
+The Artin action and Tietze elimination share one free-word substitution,
+`_substitute`, and one cyclic reduction, `_cyclically_reduced`.
 """
 
 from __future__ import annotations
@@ -15,8 +20,10 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import index
 
-from .braid import MAX_STRANDS, BraidWord, bfs, cycles, equals, free_reduce, full_twist
+from .braid import MAX_STRANDS, BraidWord, bfs, cycle_type, cycles, equals, free_reduce, full_twist
 from .errors import FormatError, WorkBudget
 from .factorization import Factorization, validate
 
@@ -28,9 +35,10 @@ class FreeWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(k == 0 for k in self.letters):
+        letters = tuple(map(index, self.letters))
+        if 0 in letters:
             raise ValueError("letters must be nonzero")
-        object.__setattr__(self, "letters", free_reduce(self.letters))
+        object.__setattr__(self, "letters", free_reduce(letters))
 
     def __mul__(self, other: FreeWord) -> FreeWord:
         return FreeWord(self.letters + other.letters)
@@ -39,10 +47,7 @@ class FreeWord:
         return FreeWord(tuple(-k for k in reversed(self.letters)))
 
     def cyclically_reduced(self) -> FreeWord:
-        ls = list(self.letters)
-        while len(ls) > 1 and ls[0] == -ls[-1]:
-            ls = ls[1:-1]
-        return FreeWord(tuple(ls))
+        return FreeWord(_cyclically_reduced(self.letters))
 
     def max_index(self) -> int:
         return max((abs(k) for k in self.letters), default=0)
@@ -69,6 +74,15 @@ class FinitePresentation:
         for r in self.relators:
             if r.max_index() > self.ngens:
                 raise ValueError("relator uses a generator out of range")
+
+
+def _cyclically_reduced(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """A freely reduced word less its cancelling ends: x w x^-1 becomes w, repeatedly."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i : j + 1]
 
 
 def _substitute(letters: tuple[int, ...], table: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -148,21 +162,14 @@ def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
     if budget <= 0:
         raise ValueError("budget must be positive")
     ngens = P.ngens
-    relators = [r.cyclically_reduced() for r in P.relators]
-    steps = 0
-    while steps < budget:
-        relators = [r for r in relators if r.letters]
-        seen: set = set()
-        kept = []
-        for r in relators:
-            if r.letters not in seen:
-                seen.add(r.letters)
-                kept.append(r)
-        relators = kept
+    relators = [_cyclically_reduced(r.letters) for r in P.relators]
+    for _ in range(budget):
+        # drop trivial relators, then duplicates, keeping first occurrences
+        relators = list(dict.fromkeys(r for r in relators if r))
         best = None
         for ri, r in enumerate(relators):
             counts: dict[int, int] = {}
-            for l in r.letters:
+            for l in r:
                 counts[abs(l)] = counts.get(abs(l), 0) + 1
             for gen, cnt in counts.items():
                 if cnt == 1:
@@ -173,19 +180,17 @@ def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
             break
         _, gen, ri = best
         r = relators.pop(ri)
-        pos = next(i for i, l in enumerate(r.letters) if abs(l) == gen)
-        rotated = r.letters[pos:] + r.letters[:pos]
-        rest = FreeWord(rotated[1:])
+        pos = next(i for i, l in enumerate(r) if abs(l) == gen)
+        rotated = r[pos:] + r[:pos]
+        rest = rotated[1:]
         # rotated = (+-gen) . rest == 1, so gen = rest^-1 or gen = rest
-        repl = rest.inverse() if rotated[0] > 0 else rest
+        repl = tuple(-k for k in reversed(rest)) if rotated[0] > 0 else rest
         # gen goes to repl, and each higher generator moves down by one, repl's too
         table = {h: (h - 1,) for h in range(gen + 1, ngens + 1)}
-        table[gen] = _substitute(repl.letters, table)
-        relators = [FreeWord(_substitute(x.letters, table)).cyclically_reduced() for x in relators]
+        table[gen] = _substitute(repl, table)
+        relators = [_cyclically_reduced(_substitute(x, table)) for x in relators]
         ngens -= 1
-        steps += 1
-    relators = [r for r in relators if r.letters]
-    return FinitePresentation(ngens, tuple(relators))
+    return FinitePresentation(ngens, tuple(map(FreeWord, relators)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +212,17 @@ def _generates_full(images: tuple[tuple[int, ...], ...], n: int) -> bool:
     return sum(1 for _ in closure) == math.factorial(n)
 
 
-def _class_minima(n: int) -> list[tuple[int, ...]]:
-    """The least 0-based permutation of each cycle type in S_n.
-
-    Built greedily: the least image of the next point closes its cycle
-    when a cycle of that length is still wanted, so the least permutation
-    of a type is its cycles as consecutive rotations, shortest first.
-    """
-
-    def partitions(rest: int, least: int):
-        if rest == 0:
-            yield ()
-        for k in range(least, rest + 1):
-            for tail in partitions(rest - k, k):
-                yield (k, *tail)
-
-    minima = []
-    for lengths in partitions(n, 1):
-        p: list[int] = []
-        for k in lengths:
-            a = len(p)
-            p += [*range(a + 1, a + k), a]
-        minima.append(tuple(p))
-    return minima
-
-
 HOMS_MAX_N, HOMS_MAX_GENS = 7, 8  # caps of enumerate_homs: n of S_n, and generators
 HOMS_MAX_WORK = 200_000  # enumerate_homs' work: candidate images tried plus conjugates formed
+
+
+@lru_cache(maxsize=HOMS_MAX_N)
+def _class_minima(n: int) -> tuple[tuple[int, ...], ...]:
+    """The least 0-based permutation of each cycle type in S_n, in lexicographic order."""
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in itertools.permutations(range(n)):
+        least.setdefault(cycle_type(p), p)
+    return tuple(least.values())
 
 
 def enumerate_homs(
@@ -366,7 +355,7 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
         return None
     ncols = 2 * P.ngens
     rows = min(budget, max(1, 4 * budget // ncols))
-    relators = [r.letters for r in P.relators if r.letters]
+    relators = [r.letters for r in P.relators]
 
     def col(l: int) -> int:
         return 2 * (abs(l) - 1) + (0 if l > 0 else 1)
@@ -536,8 +525,7 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
 def format_presentation(P: FinitePresentation) -> str:
     lines = [str(P.ngens)]
     for r in P.relators:
-        if r.letters:
-            lines.append(" ".join(str(k) for k in r.letters))
+        lines.append(" ".join(str(k) for k in r.letters))
     return "\n".join(lines) + "\n"
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from braidfact.complement import (
     SymmetricImage,
     _abelian_rank,
     _class_minima,
+    _cyclically_reduced,
     artin_action,
     enumerate_homs,
     format_homs,
@@ -29,8 +31,11 @@ from braidfact.factorization import (
     Factorization,
     conjugate_all,
     hurwitz_move,
+    parse_factorization,
     search_factorization,
 )
+
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 
 def cuspidal(d, *pairs):
@@ -69,6 +74,36 @@ def test_free_word_reduction():
     assert FreeWord((-2, 1, 2)).cyclically_reduced().letters == (1,)
     with pytest.raises(ValueError):
         FreeWord((0,))
+
+
+def test_free_word_letters_are_ints():
+    # each letter goes through operator.index before the zero check, as in BraidWord
+    for letters in ((0.5, 2), (1.7, -2), (2.0,), ("1",)):
+        with pytest.raises(TypeError):
+            FreeWord(letters)
+    with pytest.raises(ValueError):
+        FreeWord((1, 0))
+    w = FreeWord((True, 2, -2))
+    assert w.letters == (1,) and type(w.letters[0]) is int
+
+
+def test_cyclic_reduction():
+    cases = {
+        (): (),
+        (3,): (3,),
+        (1, 2, 1): (1, 2, 1),
+        (1, 2, -1, -2): (1, 2, -1, -2),
+        (-2, 1, 2): (1,),  # one peel
+        (1, 2, 3, -1): (2, 3),  # one peel, two letters left
+        (1, 2, 3, -2, -1): (3,),  # two peels
+        (1, -2, 3, 1, 2, -1): (3, 1),  # two peels, two letters left
+        (1, 2, 1, 3, -1, -2, -1): (3,),  # three peels
+    }
+    for letters, want in cases.items():
+        assert _cyclically_reduced(letters) == want, letters
+        assert FreeWord(letters).cyclically_reduced().letters == want, letters
+    # a 40,001-letter conjugate of x_2
+    assert FreeWord((1,) * 20000 + (2,) + (-1,) * 20000).cyclically_reduced().letters == (2,)
 
 
 def test_artin_action_generator_rules():
@@ -219,6 +254,73 @@ def test_simplify_preserves_hom_counts():
             assert len(enumerate_homs(P, n, up_to_conjugacy=False)) == len(
                 enumerate_homs(Q, n, up_to_conjugacy=False)
             ), (P, Q, n)
+
+
+def reference_simplify(P, budget):
+    """simplify as a loop over FreeWords, every intermediate word wrapped and checked."""
+
+    def cyclic(w):
+        ls = list(w.letters)
+        while len(ls) > 1 and ls[0] == -ls[-1]:
+            ls = ls[1:-1]
+        return FreeWord(tuple(ls))
+
+    ngens = P.ngens
+    relators = [cyclic(r) for r in P.relators]
+    steps = 0
+    while steps < budget:
+        relators = [r for r in relators if r.letters]
+        seen: set = set()
+        kept = []
+        for r in relators:
+            if r.letters not in seen:
+                seen.add(r.letters)
+                kept.append(r)
+        relators = kept
+        best = None
+        for ri, r in enumerate(relators):
+            counts: dict[int, int] = {}
+            for l in r.letters:
+                counts[abs(l)] = counts.get(abs(l), 0) + 1
+            for gen, cnt in counts.items():
+                if cnt == 1:
+                    cand = (len(r), gen, ri)
+                    if best is None or cand < best:
+                        best = cand
+        if best is None:
+            break
+        _, gen, ri = best
+        r = relators.pop(ri)
+        pos = next(i for i, l in enumerate(r.letters) if abs(l) == gen)
+        rotated = r.letters[pos:] + r.letters[:pos]
+        rest = FreeWord(rotated[1:])
+        repl = rest.inverse() if rotated[0] > 0 else rest
+        table = {h: (h - 1,) for h in range(gen + 1, ngens + 1)}
+        table[gen] = complement._substitute(repl.letters, table)
+        relators = [cyclic(FreeWord(complement._substitute(x.letters, table))) for x in relators]
+        ngens -= 1
+        steps += 1
+    relators = [r for r in relators if r.letters]
+    return FinitePresentation(ngens, tuple(relators))
+
+
+def test_simplify_matches_the_free_word_reference():
+    # budgets below the generator count stop early and keep the last step's duplicates
+    rng = random.Random(53)
+    presentations = []
+    for path in sorted(DATA.glob("*.fact")):
+        F = parse_factorization(path.read_text())
+        presentations.append(zvk_presentation(F))
+        for _ in range(2):
+            G = F
+            for _ in range(rng.randint(1, 28)):
+                G = hurwitz_move(G, rng.randint(1, G.r - 1), rng.choice(("left", "right")))
+            presentations.append(zvk_presentation(G))
+    assert len(presentations) == 18
+    presentations += [random_presentation(rng, rng.randint(1, 5), 0, 6) for _ in range(60)]
+    for P in presentations:
+        for budget in (1, 2, 100):
+            assert simplify(P, budget) == reference_simplify(P, budget), (P, budget)
 
 
 def naive_homs(P, n):
