@@ -5,7 +5,8 @@ Exit codes: 0 success / positive verdict, 1 negative verdict (unequal
 words, failed validation, nothing found, distinguished), 2 inconclusive
 (budget exhausted), 64 usage error, 65 malformed or unreadable input
 file, or one that does not validate where a command needs it to (decide,
-pi1).  ``--format=structured`` turns the compact result lines (nf, eq,
+pi1).  Handlers return 0, 1 or 2; `main` alone maps errors to 64 and 65.
+``--format=structured`` turns the compact result lines (nf, eq,
 fulltwist, validate, order, arrangement, invariants, search's result=)
 into one key=value field per line; other output ignores it.
 """
@@ -170,7 +171,7 @@ def _cmd_move(args) -> int:
     F = _load_factorization(args.file)
     try:
         G = hurwitz_move(F, args.index, args.direction)
-    except (ValueError, IndexError) as e:
+    except IndexError as e:
         raise _UsageError(str(e)) from None
     sys.stdout.write(format_factorization(G))
     return 0
@@ -192,8 +193,6 @@ def _cmd_search(args) -> int:
         F = search_factorization(
             args.strands, profile, args.bound, max_nodes=args.max_nodes
         )
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
     except SearchBudgetExceeded:
         _emit(args, [("result", "inconclusive")], "result=inconclusive")
         return 2
@@ -242,22 +241,13 @@ def _cmd_decide(args) -> int:
         max_factor_nf_length=args.nf_bound,
         conjugator_length_bound=args.conj_bound,
     )
-    try:
-        verdict = decide_equivalence(F1, F2, budget)
-    except ValidationError as e:  # a file is at fault, as for pi1
-        raise FormatError(str(e)) from None
-    except ValueError as e:  # budgets, strand counts or targets: the call is at fault
-        raise _UsageError(str(e)) from None
+    verdict = decide_equivalence(F1, F2, budget)
     sys.stdout.write(format_verdict(verdict))
     return {"equivalent": 0, "distinguished": 1}.get(verdict.outcome, 2)
 
 
 def _cmd_pi1(args) -> int:
-    F = _load_factorization(args.file)
-    try:
-        P = zvk_presentation(F)
-    except ValueError as e:  # generic or non-validating file: the input is at fault
-        raise FormatError(str(e)) from None
+    P = zvk_presentation(_load_factorization(args.file))
     if args.simplify > 0:
         P = simplify(P, budget=args.simplify)
     sys.stdout.write(format_presentation(P))
@@ -270,8 +260,6 @@ def _cmd_homs(args) -> int:
         homs = enumerate_homs(
             P, args.n, up_to_conjugacy=not args.all, epi_only=args.epi
         )
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
     except SearchBudgetExceeded:
         print("count=unknown")
         print(f"note: the search ran out of its {HOMS_MAX_WORK} units of work", file=sys.stderr)
@@ -284,11 +272,7 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    P = _load_presentation(args.file)
-    try:
-        n = group_order(P, budget=args.budget)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    n = group_order(_load_presentation(args.file), budget=args.budget)
     if n is None:
         _emit(args, [("order", "unknown")], "order=unknown")
         return 2
@@ -304,10 +288,7 @@ def _cmd_arrangement(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    try:
-        inv = branch_curve_invariants(args.m)
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
+    inv = branch_curve_invariants(args.m)
     if not inv.in_standard_range:
         print(f"warning: m={inv.m} is below the standard range m >= 5", file=sys.stderr)
     pairs = [(name, getattr(inv, name)) for name in ("m", "deg_f", "d", "g", "kappa", "n1", "delta")]
@@ -424,21 +405,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code.
+
+    Handlers report results and let library errors through: a malformed,
+    unreadable or non-validating input file exits 65, and any other
+    ValueError, like a bad argument, exits 64."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EX_USAGE
+        return args.func(args)
     except SystemExit as e:  # --help prints and exits 0
         return 0 if not e.code else int(e.code)
-    try:
-        return args.func(args)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EX_USAGE
-    except FormatError as e:
+    except (FormatError, ValidationError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EX_DATAERR
+    except (_UsageError, ValueError) as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EX_USAGE
 
 
 if __name__ == "__main__":

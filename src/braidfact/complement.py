@@ -24,7 +24,7 @@ from functools import lru_cache
 from operator import index
 
 from .braid import MAX_STRANDS, BraidWord, bfs, cycle_type, cycles, equals, free_reduce, full_twist
-from .errors import FormatError, WorkBudget
+from .errors import FormatError, ValidationError, WorkBudget
 from .factorization import Factorization, validate
 
 
@@ -133,14 +133,16 @@ def zvk_presentation(F: Factorization) -> FinitePresentation:
     x_2^-1 for s=2, and x_1 x_2 x_1 x_2^-1 x_1^-1 x_2^-1 for s=3.  Relators
     are emitted in factor order, then the projective relator x_1 x_2 ... x_d,
     the boundary loop: the word that every X_i^+-1 fixes under the action.
+    Raises ValidationError for a generic factorization, a target other than
+    the full twist, or factors whose product misses the target.
     """
     if not F.is_cuspidal:
-        raise ValueError("presentation requires the cuspidal variant")
+        raise ValidationError("presentation requires the cuspidal variant")
     d = F.strands
     if not equals(F.target, full_twist(d)):
-        raise ValueError("presentation requires the full-twist target")
+        raise ValidationError("presentation requires the full-twist target")
     if not validate(F).product_ok:
-        raise ValueError("factorization does not validate")
+        raise ValidationError("factorization does not validate")
     relators = [artin_action(f.rho, _MODEL_WORDS[f.s]) for f in F.factors]
     relators.append(FreeWord(tuple(range(1, d + 1))))
     return FinitePresentation(d, tuple(relators))

@@ -66,9 +66,10 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
 
 def _validated_key(F: Factorization) -> tuple:
     """canonical_key(F), or ValidationError if F does not validate."""
-    if not validate(F).product_ok:
+    report = validate(F)
+    if not report.product_ok:
         raise ValidationError("factorization does not validate")
-    return canonical_key(F)
+    return report.key
 
 
 def _fingerprint(F: Factorization, factor_keys, conjugacy_budget: int = 0) -> Fingerprint:

@@ -8,7 +8,9 @@ class FormatError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A factorization's factors do not multiply to its target."""
+    """A factorization an operation cannot use: its factors do not multiply
+    to its target, or it is not of the kind the operation needs (pi1 needs
+    a cuspidal factorization of the full twist)."""
 
 
 class SearchBudgetExceeded(RuntimeError):

@@ -86,9 +86,12 @@ class SingularityCounts:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """key is canonical_key(F), the factor keys the product check used."""
+
     product_ok: bool
     counts: SingularityCounts | None
     exponent_ok: bool | None
+    key: tuple
 
     @property
     def ok(self) -> bool:
@@ -135,12 +138,13 @@ def singularity_counts(F: Factorization) -> SingularityCounts | None:
 
 def validate(F: Factorization) -> ValidationReport:
     """Check the factor product against the target; never raises on failure."""
-    product_ok = nf_mul(F.strands, *canonical_key(F)) == nf_key(F.target)
+    key = canonical_key(F)
+    product_ok = nf_mul(F.strands, *key) == nf_key(F.target)
     counts = singularity_counts(F)
     exponent_ok = None
     if F.is_cuspidal:
         exponent_ok = sum(f.s for f in F.factors) == exponent_sum(F.target)
-    return ValidationReport(product_ok, counts, exponent_ok)
+    return ValidationReport(product_ok, counts, exponent_ok, key)
 
 
 def hurwitz_move(F: Factorization, i: int, direction: str) -> Factorization:

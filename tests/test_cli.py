@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import braidfact
 import braidfact.cli as cli
 import braidfact.equivalence as equivalence
-from braidfact.braid import BraidWord, _simple_letters, canonical_form, equals
+from braidfact.braid import BraidWord, _simple_letters, canonical_form, equals, full_twist
 from braidfact.cli import main
 from braidfact.complement import group_order, parse_presentation
+from braidfact.errors import FormatError, ValidationError
 from braidfact.factorization import parse_factorization, validate
 
 CONIC_FACT = "strands 2\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
@@ -44,6 +45,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     output = capsys.readouterr()
     return code, output.out, output.err
+
+
+# what stderr starts with for each exit code main maps an error to
+ERROR_PREFIX = {64: "usage error: ", 65: "input error: "}
 
 
 def test_fulltwist_documented_example(capsys):
@@ -426,6 +431,46 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "search", "--help")[0] == 0
 
 
+# Each subcommand and the library function its handler calls, by the name
+# cli binds it to; FACT is the cuspidal cubic and PRES a presentation.
+LIBRARY_CALLS = (
+    (("nf", "3", "1"), "canonical_form"),
+    (("eq", "3", "1", "1"), "equals"),
+    (("fulltwist", "3"), "full_twist"),
+    (("validate", "FACT"), "validate"),
+    (("move", "FACT", "1"), "hurwitz_move"),
+    (("conjugate", "FACT", "1"), "conjugate_all"),
+    (("search", "3", "3,1,1,1"), "search_factorization"),
+    (("fingerprint", "FACT"), "fingerprint"),
+    (("decide", "FACT", "FACT"), "decide_equivalence"),
+    (("pi1", "FACT"), "zvk_presentation"),
+    (("homs", "PRES", "2"), "enumerate_homs"),
+    (("order", "PRES"), "group_order"),
+    (("arrangement",), "intersection_lattice"),
+    (("invariants", "5"), "branch_curve_invariants"),
+)
+
+
+@pytest.mark.parametrize("command, name", LIBRARY_CALLS, ids=[c[0] for c, _ in LIBRARY_CALLS])
+def test_main_maps_library_errors_to_exit_codes(capsys, monkeypatch, cubic_file, tmp_path, command, name):
+    pres = tmp_path / "trefoil.pres"
+    pres.write_text(TREFOIL_PRES)
+    argv = [{"FACT": cubic_file, "PRES": str(pres)}.get(arg, arg) for arg in command]
+
+    def run_raising(error):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, name, fail)
+        return run(capsys, *argv)
+
+    assert run_raising(ValueError) == (64, "", "usage error: boom\n")
+    if command[0] in ("decide", "pi1"):
+        assert run_raising(ValidationError) == (65, "", "input error: boom\n")
+    if command[0] == "fingerprint":
+        assert run_raising(ValidationError) == (1, "", "error: factorization does not validate\n")
+
+
 # Every integer argument, with N standing for a drawn value; FACT is the
 # cuspidal cubic and PRES a two-generator presentation.
 CONTRACT_COMMANDS = (
@@ -463,6 +508,7 @@ def test_cli_integer_arguments_keep_exit_contract(capsys, cubic_file, tmp_path, 
     code, _, err = run(capsys, *(names.get(arg, arg) for arg in command))
     assert code in (0, 1, 2, 64, 65), (command, n, code)
     assert "Traceback" not in err
+    assert err.startswith(ERROR_PREFIX.get(code, "")), (command, n, code, err)
 
 
 def test_strand_count_outside_bound_is_usage_error(capsys):
@@ -585,6 +631,7 @@ def factorization_text(draw):
 @given(text=factorization_text(), conjugator=st.sampled_from(("", "1", "-2 1")))
 @example(text=ONE_STRAND_CUSPIDAL, conjugator="")
 @example(text=CONIC_FACT, conjugator="1")  # a file that validates
+@example(text=CUBIC_FACT, conjugator="-2 1")
 def test_factorization_files_keep_exit_contract(capsys, cubic_file, tmp_path, text, conjugator):
     f = tmp_path / "fuzz.fact"
     f.write_text(text)
@@ -601,6 +648,23 @@ def test_factorization_files_keep_exit_contract(capsys, cubic_file, tmp_path, te
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 2, 64, 65), (text, argv, code)
         assert "Traceback" not in err
+        assert err.startswith(ERROR_PREFIX.get(code, "")), (text, argv, code, err)
+    if validates_as_cuspidal_full_twist(text):  # every command can use it
+        for argv in (
+            ("validate", fact),
+            ("fingerprint", fact, "--conj-budget", "5"),
+            ("pi1", fact),
+            ("decide", fact, fact),
+        ):
+            assert run(capsys, *argv)[0] == 0, (text, argv)
+
+
+def validates_as_cuspidal_full_twist(text):
+    try:
+        F = parse_factorization(text)
+    except FormatError:
+        return False
+    return F.is_cuspidal and equals(F.target, full_twist(F.strands)) and validate(F).ok
 
 
 @st.composite

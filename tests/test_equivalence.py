@@ -400,6 +400,18 @@ def test_decide_inconclusive_when_starved():
     assert v.states <= 3
 
 
+def test_orbit_complete_only_when_fewer_states_than_the_cap():
+    # the bounded orbit of CUBIC has 176 states; the orbit counts as complete
+    # only when the search drew fewer than max_states of them
+    F2 = conjugate_all(CUBIC, BraidWord(3, (1,) * 5 + (2,) * 4))
+    orbit, complete = explore_orbit(CUBIC, 5000, 4)
+    assert (len(orbit), complete) == (176, True)
+    for max_states, states, orbit_complete in ((5000, 176, True), (177, 176, True), (176, 176, False)):
+        budget = SearchBudget(max_states=max_states, max_factor_nf_length=4, conjugator_length_bound=1)
+        v = decide_equivalence(CUBIC, F2, budget)
+        assert (v.outcome, v.states, v.orbit_complete) == ("inconclusive", states, orbit_complete)
+
+
 def test_decide_input_checks():
     with pytest.raises(ValueError):
         decide_equivalence(CONIC, CUBIC)  # strand mismatch
