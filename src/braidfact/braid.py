@@ -415,23 +415,59 @@ def _summit(d: int, key, budget: WorkBudget):
     return key, nf_mul(d, *z)
 
 
-def _super_summit_set(d: int, key, budget: WorkBudget):
+@lru_cache(maxsize=1 << 12)
+def _compatible_steps(d: int, images: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
+    """Indices into _simple_steps(d), in order, of the steps p that carry the
+    permutation images to target by conjugation: p[images[x]] == target[p[x]]
+    for every x, with p the step's factor tuple (the reversal for the half
+    twist).  B_d -> S_d is a homomorphism, so only these steps p can conjugate
+    a braid with permutation images to one with permutation target."""
+    half = tuple(range(d - 1, -1, -1))
+    out = []
+    for i, (step, _) in enumerate(_simple_steps(d)):
+        p = step[1][0] if step[1] else half
+        if all(p[images[x]] == target[p[x]] for x in range(d)):
+            out.append(i)
+    return tuple(out)
+
+
+def _super_summit_set(d: int, key, budget: WorkBudget, target=None):
     """Yield the super summit set of the summit element with nf_key key.
 
     Each member comes as (nf_key, path of _simple_steps(d) indices whose
     steps conjugate key to it), breadth first, as it is first met.  The set
     is closed under conjugation by permutation braids, one budget tick per
-    conjugation tried, keeping the conjugates with key's inf and canonical
+    conjugation formed, keeping the conjugates with key's inf and canonical
     length; it is connected under these conjugations (El-Rifai and Morton
     1994), so a generator that runs out has yielded all of it.
+
+    A target is a summit element to look for (conjugacy_test passes v's).
+    Before a state is expanded, it is conjugated by the permutation-
+    compatible steps only (_compatible_steps, towards the target's
+    permutation), and the target comes as soon as one of them gives it.  The
+    expansion then reuses those products, so each conjugation is still
+    formed and ticked once.  The target comes with the path the closure
+    without a target gives it, after no more ticks.
     """
     steps = _simple_steps(d)
     shape = (key[0], len(key[1]))
+    target_images = None if target is None else nf_permutation(d, target)
 
     def conjugates(wkey, _):
+        formed = {}
+        if target is not None:
+            for i in _compatible_steps(d, nf_permutation(d, wkey), target_images):
+                budget.tick()
+                step, step_inv = steps[i]
+                k = formed[i] = nf_mul(d, step_inv, wkey, step)
+                if k == target:
+                    yield i, k
+                    break
         for i, (step, step_inv) in enumerate(steps):
-            budget.tick()
-            k = nf_mul(d, step_inv, wkey, step)
+            k = formed.get(i)
+            if k is None:
+                budget.tick()
+                k = nf_mul(d, step_inv, wkey, step)
             if (k[0], len(k[1])) == shape:
                 yield i, k
 
@@ -443,7 +479,11 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
 
     u and v go to summit elements; if their inf and canonical length differ
     they are not conjugate, and otherwise u's super summit set is closed
-    until v's summit element appears in it.  "conjugate" always carries a
+    until v's summit element appears in it.  Before each state is expanded,
+    the closure first tries v's summit element among the simple braids
+    whose permutation carries the state's permutation to v's; work counts
+    each conjugation once, so it is never more than a closure without that
+    first try would use, and the witness is the same.  "conjugate" always carries a
     witness z verified to satisfy nf_key(conjugate(u, z)) == nf_key(v);
     "not_conjugate" names a separating invariant or reports a completed
     super summit set of u without v's summit element; "unknown" means the
@@ -469,7 +509,8 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
             return ConjugacyResult(
                 "not_conjugate", reason="summit_inf_and_length", work=wb.used
             )
-        path = next((p for key, p in _super_summit_set(d, ukey, wb) if key == vkey), None)
+        members = _super_summit_set(d, ukey, wb, target=vkey)
+        path = next((p for key, p in members if key == vkey), None)
     except SearchBudgetExceeded:
         return ConjugacyResult("unknown", reason="budget_exhausted", work=wb.used)
     if path is None:

@@ -34,7 +34,7 @@ from braidfact.braid import (
     permutation_of,
     summit_key,
 )
-from braidfact.errors import FormatError
+from braidfact.errors import FormatError, SearchBudgetExceeded, WorkBudget
 
 
 def rand_word(rng, d, n):
@@ -365,6 +365,86 @@ def test_conjugacy_random_witnesses_verify():
         res = conjugacy_test(u, v, 200000)
         assert res.outcome == "conjugate", (u, z)
         assert equals(conjugate(u, res.witness), v)
+
+
+def test_compatible_steps_keep_every_step_that_reaches_the_conjugate():
+    # B_d -> S_d is a homomorphism: the permutation of p^-1 w p is that of w
+    # conjugated by p's, so the permutation test keeps every step p
+    rng = random.Random(6007)
+    for d in range(3, 7):
+        half = tuple(range(d - 1, -1, -1))
+        for _ in range(3):
+            wkey = nf_key(rand_word(rng, d, rng.randint(0, 10)))
+            images = nf_permutation(d, wkey)
+            for i, (step, step_inv) in enumerate(_simple_steps(d)):
+                p = step[1][0] if step[1] else half
+                conjugated = [None] * d
+                for x in range(d):
+                    conjugated[p[x]] = p[images[x]]
+                conjugated = tuple(conjugated)
+                assert nf_permutation(d, nf_mul(d, step_inv, wkey, step)) == conjugated
+                assert i in braid._compatible_steps(d, images, conjugated)
+
+
+def first_path(d, ukey, vkey, target, budget):
+    """(path to vkey in the closure of ukey or None if the budget ran out, work)."""
+    wb = WorkBudget(budget)
+    try:
+        members = braid._super_summit_set(d, ukey, wb, target)
+        return next(p for key, p in members if key == vkey), wb.used
+    except SearchBudgetExceeded:
+        return None, wb.used
+
+
+def test_targeted_closure_gives_the_same_path_after_no_more_work():
+    rng = random.Random(2029)
+    compared = 0
+    for n in range(240):
+        d = 3 + n % 4
+        u = rand_word(rng, d, rng.randint(1, 6))
+        v = conjugate(u, rand_word(rng, d, rng.randint(1, 3)))
+        ukey, _ = braid._summit(d, nf_key(u), WorkBudget(10**6))
+        vkey, _ = braid._summit(d, nf_key(v), WorkBudget(10**6))
+        plain, plain_work = first_path(d, ukey, vkey, None, 20000)
+        targeted, targeted_work = first_path(d, ukey, vkey, vkey, 20000)
+        assert targeted_work <= plain_work, (u, v)
+        if plain is not None:
+            assert targeted == plain, (u, v)
+            compared += 1
+    assert compared >= 200
+
+
+def test_conjugacy_test_forms_only_compatible_products_one_step_away(monkeypatch):
+    # u and v are summit elements of B_5, v = p^-1 u p for the simple p = X_2
+    d = 5
+    u, v = BraidWord(d, (2, 1, 3, 4)), BraidWord(d, (1, 3, 4, 2))
+    ukey, vkey = nf_key(u), nf_key(v)
+    steps = _simple_steps(d)
+    p = steps.index(((0, ((0, 2, 1, 3, 4),)), nf_inv(d, (0, ((0, 2, 1, 3, 4),)))))
+    assert nf_mul(d, steps[p][1], ukey, steps[p][0]) == vkey
+    summit_work = 0
+    for key in (ukey, vkey):
+        wb = WorkBudget(10**6)
+        assert braid._summit(d, key, wb)[0] == key
+        summit_work += wb.used
+    compatible = braid._compatible_steps(d, nf_permutation(d, ukey), nf_permutation(d, vkey))
+    assert p in compatible and len(compatible) < len(steps)
+
+    products = []
+    step_pairs = {(step, step_inv) for step, step_inv in steps}
+    original = braid.nf_mul
+
+    def counting_nf_mul(d, *keys):
+        if len(keys) == 3 and (keys[2], keys[0]) in step_pairs:
+            products.append(keys)
+        return original(d, *keys)
+
+    monkeypatch.setattr(braid, "nf_mul", counting_nf_mul)
+    res = conjugacy_test(u, v, 20000)
+    assert res.outcome == "conjugate"
+    assert equals(conjugate(u, res.witness), v)
+    assert 0 < len(products) <= len(compatible)
+    assert res.work - summit_work == len(products)
 
 
 def test_summit_key_is_conjugacy_invariant():
