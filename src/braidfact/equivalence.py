@@ -10,6 +10,7 @@ breadth-first orbit search and always replay exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 
 from .braid import (
@@ -209,6 +210,21 @@ def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorizatio
     return G
 
 
+@lru_cache(maxsize=16)
+def _conjugators(d: int, bound: int, max_states: int) -> tuple:
+    """The first max_states braids of _braids(d, bound), drawn once for
+    every decision that shares these arguments: (nf_key, inverse nf_key,
+    letters, permutation, inverse permutation) each."""
+    out = []
+    for zkey, letters in islice(_braids(d, bound), max_states):
+        images = nf_permutation(d, zkey)
+        inverse = [0] * d
+        for x, y in enumerate(images):
+            inverse[y] = x
+        out.append((zkey, nf_inv(d, zkey), letters, images, tuple(inverse)))
+    return tuple(out)
+
+
 def _fingerprint_fields(a: Fingerprint, b: Fingerprint):
     yield "factor_count", a.factor_count, b.factor_count
     if a.s_multiset is not None and b.s_multiset is not None:
@@ -227,11 +243,14 @@ def decide_equivalence(
     orbit of F1 is explored breadth first (moves in ascending index order,
     "left" before "right") over states of factor ids, with each adjacent id
     pair's moves computed once (see _orbit).  States are matched against F2
-    conjugated by each of the first max_states short braids: those are
-    indexed by the id of their image of F2's first factor, and F2's other
-    factors are conjugated, into ids of the same table, only by the braids
-    a state's first factor hits, each braid at most once.  The first braid
-    in enumeration order that matches is the conjugator.  An "equivalent"
+    conjugated by each of the first max_states short braids, a stream drawn
+    once per (strands, conjugator bound, max_states): those are indexed by
+    the permutation of their image of F2's first factor, which needs no
+    product.  A braid conjugates F2's first factor only when a state's
+    first factor has that permutation, and F2's other factors, into ids of
+    the same table, only when a state's first factor is that image; each
+    product is formed at most once per decision.  The first braid in
+    enumeration order that matches is the conjugator.  An "equivalent"
     verdict is replayed and verified factor by factor.  Raises
     ValidationError (a ValueError) for an input that does not validate, and
     ValueError for differing strand counts or targets and for non-positive
@@ -254,29 +273,39 @@ def decide_equivalence(
             )
 
     # match index: state G hits when G equals conjugate_all(F2, z^-1), whose
-    # factors are z f z^-1 for the factors f of F2.  The conjugators are
-    # indexed, in stream order, by the id of their image of F2's first
-    # factor (a slice, so a factorization with no factors has one key, ());
-    # the other factors are conjugated only for a state whose first factor
-    # hits, once per conjugator.  The first conjugator in stream order that
-    # carries F2 to the state is the one returned.
+    # factors are z f z^-1 for the factors f of F2.  index files the
+    # conjugators by the permutation of their image of F2's first factor (a
+    # slice, so a factorization with no factors has one key, ()).  The first
+    # time a state's first factor has a permutation, the conjugators under
+    # it form their images and are filed in hits under those images' ids,
+    # still in stream order, so the first conjugator that carries F2 to the
+    # state is the first in stream order.
     d = F1.strands
     keys, intern = _interner()
+    conjugators = _conjugators(d, budget.conjugator_length_bound, budget.max_states)
+    firsts = [nf_permutation(d, f) for f in f2[:1]]
     index: dict[tuple, list] = {}
-    for zkey, letters in islice(_braids(d, budget.conjugator_length_bound), budget.max_states):
-        head = tuple(intern(nf_mul(d, zkey, f, nf_inv(d, zkey))) for f in f2[:1])
-        index.setdefault(head, []).append((zkey, letters))
-    images: dict[tuple[int, ...], tuple] = {}  # letters -> ids of F2 conjugated by them
+    for n, (_, _, _, p, p_inv) in enumerate(conjugators):  # x -> p_inv[f[p[x]]]
+        head = tuple(tuple(map(p_inv.__getitem__, map(f.__getitem__, p))) for f in firsts)
+        index.setdefault(head, []).append(n)
+    hits: dict[tuple[int, ...], list] = {}  # head id -> conjugators whose image it is
+    images: dict[int, tuple[int, ...]] = {}  # conjugator -> ids of F2 conjugated by it
 
     def conjugator_to(state):
-        for zkey, letters in index.get(state[:1], ()):
-            if letters not in images:
-                zinv = nf_inv(d, zkey)
-                images[letters] = state[:1] + tuple(
-                    intern(nf_mul(d, zkey, f, zinv)) for f in f2[1:]
-                )
-            if images[letters] == state:
-                return letters
+        head = state[:1]
+        found = hits.get(head)
+        if found is None:
+            for n in index.pop(tuple(nf_permutation(d, keys[i]) for i in head), ()):
+                zkey, zinv = conjugators[n][:2]
+                image = tuple(intern(nf_mul(d, zkey, f, zinv)) for f in f2[:1])
+                hits.setdefault(image, []).append(n)
+            found = hits.setdefault(head, [])
+        for n in found:
+            if n not in images:
+                zkey, zinv = conjugators[n][:2]
+                images[n] = head + tuple(intern(nf_mul(d, zkey, f, zinv)) for f in f2[1:])
+            if images[n] == state:
+                return conjugators[n][2]
         return None
 
     states = 0

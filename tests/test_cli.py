@@ -17,7 +17,13 @@ from braidfact.braid import BraidWord, _simple_letters, canonical_form, equals, 
 from braidfact.cli import main
 from braidfact.complement import group_order, parse_presentation
 from braidfact.errors import FormatError, ValidationError
-from braidfact.factorization import parse_factorization, validate
+from braidfact.factorization import (
+    conjugate_all,
+    format_factorization,
+    hurwitz_move,
+    parse_factorization,
+    validate,
+)
 
 CONIC_FACT = "strands 2\ntarget full_twist\nfactor s=1 rho=\nfactor s=1 rho=\n"
 CUBIC_FACT = (
@@ -665,6 +671,49 @@ def validates_as_cuspidal_full_twist(text):
     except FormatError:
         return False
     return F.is_cuspidal and equals(F.target, full_twist(F.strands)) and validate(F).ok
+
+
+@st.composite
+def moved_factorization_text(draw):
+    """CONIC_FACT or CUBIC_FACT after up to 3 Hurwitz moves and then a
+    simultaneous conjugation by a word of at most 2 letters: a file that
+    validates.  Quartics are left out, since pi1 has no bound on moved
+    quartics yet."""
+    F = parse_factorization(draw(st.sampled_from((CONIC_FACT, CUBIC_FACT))))
+    d = F.strands
+    for _ in range(draw(st.integers(0, 3))):
+        F = hurwitz_move(F, draw(st.integers(1, F.r - 1)), draw(st.sampled_from(("left", "right"))))
+    letters = [k for k in range(1 - d, d) if k]
+    z = BraidWord(d, tuple(draw(st.lists(st.sampled_from(letters), max_size=2))))
+    return format_factorization(conjugate_all(F, z))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=moved_factorization_text())
+def test_moved_factorization_files_keep_exit_contract(capsys, cubic_file, conic_file, tmp_path, text):
+    f = tmp_path / "moved.fact"
+    f.write_text(text)
+    fact = str(f)
+    assert validates_as_cuspidal_full_twist(text), text
+    base = cubic_file if parse_factorization(text).strands == 3 else conic_file
+    for argv, codes in (
+        (("validate", fact), (0,)),
+        (("move", fact, "1"), (0,)),
+        (("move", fact, "1", "--direction", "right"), (0,)),
+        (("fingerprint", fact, "--conj-budget", "200"), (0,)),
+        (("pi1", fact), (0,)),
+        (("decide", fact, fact), (0,)),
+        # moves and a conjugation never give "distinguished" (exit 1)
+        (("decide", fact, base, "--max-states", "50"), (0, 2)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code in codes, (text, argv, code, err)
+        assert err == "" and out, (text, argv)
 
 
 @st.composite

@@ -210,6 +210,7 @@ def test_decide_draws_at_most_max_states_conjugators(monkeypatch):
             yield item
 
     monkeypatch.setattr(equivalence, "_braids", counting_braids)
+    equivalence._conjugators.cache_clear()  # the stream is drawn once per arguments
     v = decide_equivalence(QUARTIC, QUARTIC, SearchBudget(max_states=1, conjugator_length_bound=7))
     assert (v.outcome, v.path, v.conjugator.letters, len(drawn)) == ("equivalent", (), (), 1)
     far = conjugate_all(QUARTIC, BraidWord(4, (1, 2, 3)))
@@ -228,12 +229,20 @@ def test_decide_conjugates_other_factors_only_on_a_hit(monkeypatch):
         return braid.nf_mul(d, *keys)
 
     monkeypatch.setattr(equivalence, "nf_mul", counting_nf_mul)
+    # X_1^2 is a pure braid, so the one drawn conjugator (the identity) has
+    # the state's head permutation, but the state misses it: only F2's
+    # first factor is conjugated, not all six
+    near = conjugate_all(QUARTIC, BraidWord(4, (1, 1)))
+    v = decide_equivalence(QUARTIC, near, SearchBudget(max_states=1))
+    assert (v.outcome, v.states) == ("inconclusive", 1)
+    assert len(products) == 1
+    # conjugated by X_1 X_2 X_3, F2's first factor has another permutation
+    # than the state's, so no product is formed
+    products.clear()
     far = conjugate_all(QUARTIC, BraidWord(4, (1, 2, 3)))
     v = decide_equivalence(QUARTIC, far, SearchBudget(max_states=1))
     assert (v.outcome, v.states) == ("inconclusive", 1)
-    # one conjugator drawn, and the one state misses it: only F2's first
-    # factor is conjugated, not all six
-    assert len(products) == 1
+    assert products == []
 
 
 def test_decide_fills_each_pair_move_once_and_lazily(monkeypatch):
