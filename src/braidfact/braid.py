@@ -483,8 +483,8 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
     the closure first tries v's summit element among the simple braids
     whose permutation carries the state's permutation to v's; work counts
     each conjugation once, so it is never more than a closure without that
-    first try would use, and the witness is the same.  "conjugate" always carries a
-    witness z verified to satisfy nf_key(conjugate(u, z)) == nf_key(v);
+    first try would use, and the witness is the same.  "conjugate" always
+    carries a witness z verified to satisfy nf_key(conjugate(u, z)) == nf_key(v);
     "not_conjugate" names a separating invariant or reports a completed
     super summit set of u without v's summit element; "unknown" means the
     budget ran out first.

@@ -210,7 +210,7 @@ def replay(F: Factorization, path, conjugator: BraidWord | None) -> Factorizatio
     return G
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=8)
 def _conjugators(d: int, bound: int, max_states: int) -> tuple:
     """The first max_states braids of _braids(d, bound), drawn once for
     every decision that shares these arguments: (nf_key, inverse nf_key,
