@@ -415,22 +415,6 @@ def _summit(d: int, key, budget: WorkBudget):
     return key, nf_mul(d, *z)
 
 
-@lru_cache(maxsize=1 << 12)
-def _compatible_steps(d: int, images: tuple[int, ...], target: tuple[int, ...]) -> tuple[int, ...]:
-    """Indices into _simple_steps(d), in order, of the steps p that carry the
-    permutation images to target by conjugation: p[images[x]] == target[p[x]]
-    for every x, with p the step's factor tuple (the reversal for the half
-    twist).  B_d -> S_d is a homomorphism, so only these steps p can conjugate
-    a braid with permutation images to one with permutation target."""
-    half = tuple(range(d - 1, -1, -1))
-    out = []
-    for i, (step, _) in enumerate(_simple_steps(d)):
-        p = step[1][0] if step[1] else half
-        if all(p[images[x]] == target[p[x]] for x in range(d)):
-            out.append(i)
-    return tuple(out)
-
-
 def _super_summit_set(d: int, key, budget: WorkBudget, target=None):
     """Yield the super summit set of the summit element with nf_key key.
 
@@ -442,27 +426,36 @@ def _super_summit_set(d: int, key, budget: WorkBudget, target=None):
     1994), so a generator that runs out has yielded all of it.
 
     A target is a summit element to look for (conjugacy_test passes v's).
-    Before a state is expanded, it is conjugated by the permutation-
-    compatible steps only (_compatible_steps, towards the target's
-    permutation), and the target comes as soon as one of them gives it.  The
-    expansion then reuses those products, so each conjugation is still
-    formed and ticked once.  The target comes with the path the closure
-    without a target gives it, after no more ticks.
+    Before a state w is expanded, it is conjugated by the permutation-
+    compatible steps only, in order, and the target comes as soon as one of
+    them gives it.  A step p is compatible when its permutation carries w's
+    to the target's: p[w[x]] == t[p[x]] for every x, with p the step's
+    factor tuple (the reversal for the half twist).  B_d -> S_d is a
+    homomorphism, so no other step can give the target.  The expansion then
+    reuses those products, so each conjugation is still formed and ticked
+    once, and the target comes with the path the closure without a target
+    gives it, after no more ticks.
     """
     steps = _simple_steps(d)
     shape = (key[0], len(key[1]))
-    target_images = None if target is None else nf_permutation(d, target)
+    if target is not None:
+        half = tuple(range(d - 1, -1, -1))
+        perms = [step[1][0] if step[1] else half for step, _ in steps]
+        t = nf_permutation(d, target)
 
     def conjugates(wkey, _):
         formed = {}
         if target is not None:
-            for i in _compatible_steps(d, nf_permutation(d, wkey), target_images):
+            w = nf_permutation(d, wkey)
+            for i, p in enumerate(perms):
+                # x = 0 alone rejects most steps
+                if p[w[0]] != t[p[0]] or any(p[w[x]] != t[p[x]] for x in range(1, d)):
+                    continue
                 budget.tick()
                 step, step_inv = steps[i]
                 k = formed[i] = nf_mul(d, step_inv, wkey, step)
                 if k == target:
                     yield i, k
-                    break
         for i, (step, step_inv) in enumerate(steps):
             k = formed.get(i)
             if k is None:

@@ -367,23 +367,32 @@ def test_conjugacy_random_witnesses_verify():
         assert equals(conjugate(u, res.witness), v)
 
 
-def test_compatible_steps_keep_every_step_that_reaches_the_conjugate():
+def carries(p, w, t):
+    """Whether the permutation p carries w to t by conjugation, the closure's
+    test for trying a step first."""
+    return all(p[w[x]] == t[p[x]] for x in range(len(p)))
+
+
+def step_permutation(d, step):
+    return step[1][0] if step[1] else tuple(range(d - 1, -1, -1))
+
+
+def test_permutation_test_keeps_every_step_that_reaches_the_conjugate():
     # B_d -> S_d is a homomorphism: the permutation of p^-1 w p is that of w
-    # conjugated by p's, so the permutation test keeps every step p
+    # conjugated by p's, so the test never drops a step that reaches v
     rng = random.Random(6007)
     for d in range(3, 7):
-        half = tuple(range(d - 1, -1, -1))
         for _ in range(3):
             wkey = nf_key(rand_word(rng, d, rng.randint(0, 10)))
-            images = nf_permutation(d, wkey)
-            for i, (step, step_inv) in enumerate(_simple_steps(d)):
-                p = step[1][0] if step[1] else half
+            w = nf_permutation(d, wkey)
+            for step, step_inv in _simple_steps(d):
+                p = step_permutation(d, step)
                 conjugated = [None] * d
                 for x in range(d):
-                    conjugated[p[x]] = p[images[x]]
-                conjugated = tuple(conjugated)
-                assert nf_permutation(d, nf_mul(d, step_inv, wkey, step)) == conjugated
-                assert i in braid._compatible_steps(d, images, conjugated)
+                    conjugated[p[x]] = p[w[x]]
+                t = nf_permutation(d, nf_mul(d, step_inv, wkey, step))
+                assert t == tuple(conjugated)
+                assert carries(p, w, t)
 
 
 def first_path(d, ukey, vkey, target, budget):
@@ -427,7 +436,8 @@ def test_conjugacy_test_forms_only_compatible_products_one_step_away(monkeypatch
         wb = WorkBudget(10**6)
         assert braid._summit(d, key, wb)[0] == key
         summit_work += wb.used
-    compatible = braid._compatible_steps(d, nf_permutation(d, ukey), nf_permutation(d, vkey))
+    w, t = nf_permutation(d, ukey), nf_permutation(d, vkey)
+    compatible = [i for i, (step, _) in enumerate(steps) if carries(step_permutation(d, step), w, t)]
     assert p in compatible and len(compatible) < len(steps)
 
     products = []
