@@ -217,11 +217,8 @@ def _conjugators(d: int, bound: int, max_states: int) -> tuple:
     letters, permutation, inverse permutation) each."""
     out = []
     for zkey, letters in islice(_braids(d, bound), max_states):
-        images = nf_permutation(d, zkey)
-        inverse = [0] * d
-        for x, y in enumerate(images):
-            inverse[y] = x
-        out.append((zkey, nf_inv(d, zkey), letters, images, tuple(inverse)))
+        zinv = nf_inv(d, zkey)
+        out.append((zkey, zinv, letters, nf_permutation(d, zkey), nf_permutation(d, zinv)))
     return tuple(out)
 
 
