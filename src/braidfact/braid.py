@@ -281,6 +281,21 @@ def cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
+def cycle_count(images: tuple[int, ...]) -> int:
+    """Number of cycles, fixed points included: len(cycle_type(images)),
+    counted without building or sorting the cycles."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            count += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+    return count
+
+
 def is_positive(w: BraidWord) -> bool:
     """Membership in the positive monoid, decided by canonical inf >= 0."""
     return nf_key(w)[0] >= 0

@@ -17,7 +17,7 @@ from .braid import (
     _braids,
     compose,
     conjugate,
-    cycle_type,
+    cycle_count,
     exponent_sum,
     format_word,
     free_reduce,
@@ -210,6 +210,12 @@ def _orderings(profile: tuple[int, ...]):
         seq[i + 1 :] = reversed(seq[i + 1 :])
 
 
+def _least_in_class(seq: tuple[int, ...]) -> bool:
+    """Whether no rotation of seq, or of seq reversed, is lexicographically
+    smaller than seq."""
+    return all(seq <= t[i:] + t[:i] for t in (seq, seq[::-1]) for i in range(len(seq)))
+
+
 def _pair_table(d: int, first: dict, second: dict, budget: WorkBudget) -> dict:
     """Each product k·k' of a key of first and a key of second, to the least
     (rho, rho') pair of their conjugators; first-major in index order, one
@@ -243,7 +249,18 @@ def search_factorization(
     (S_s: the distinct factor braids for s); then a table of all |S_s|·|S_s'|
     products, each to its least index pair, makes every later visit one
     lookup, and returns the pair the loop would.  Each table product is a
-    node, so max_nodes bounds the table too.  Raises SearchBudgetExceeded
+    node, so max_nodes bounds the table too.
+
+    An s-sequence is searched only when no rotation of it, or of it
+    reversed, is lexicographically smaller; each one skipped counts one
+    node.  The full twist is central, so
+    a witness rotates to a witness with the same factors; sigma_i ->
+    sigma_i^-1 sends it to D^-2, so reversing the factors and negating each
+    conjugator's letters gives a witness for the reversed s-sequence with
+    conjugators of the same lengths.  So an s-sequence has a witness exactly
+    when the least of its class does, which came earlier and was searched:
+    the first witness lies in a least s-sequence, and the result is the
+    same as with every s-sequence searched.  Raises SearchBudgetExceeded
     when max_nodes runs out, which is distinct from returning None (nothing
     within bounds).
     """
@@ -277,18 +294,26 @@ def search_factorization(
         steps_by_s[s] = [(rho, nf_inv(d, key)) for key, rho in index.items()]
         stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
 
-    def feasible(rest, remaining: tuple[int, ...]) -> bool:
+    # Per suffix of s-values: (min inf, max sup) of its factor products, and
+    # its number of odd s-values.
+    suffix_stats: dict[tuple[int, ...], tuple[int, int, int]] = {}
+
+    def feasible(rest, tail: tuple[int, ...]) -> bool:
+        stats = suffix_stats.get(tail)
+        if stats is None:
+            stats = suffix_stats[tail] = (
+                sum(stats_by_s[s][0] for s in tail),
+                sum(stats_by_s[s][1] for s in tail),
+                sum(s % 2 for s in tail),
+            )
+        lo, hi, odd = stats
+        inf, factors = rest
+        if inf < lo or inf + len(factors) > hi:
+            return False
         # a factor permutes by one transposition if s is odd, else trivially,
         # and rest's permutation needs d - (its cycle count) transpositions.
-        # Parities agree by themselves: rest's exponent sum is the remaining
-        # s sum.
-        cycles = len(cycle_type(nf_permutation(d, rest)))
-        if sum(1 for s in remaining if s % 2) < d - cycles:
-            return False
-        inf, factors = rest
-        lo = sum(stats_by_s[s][0] for s in remaining)
-        hi = sum(stats_by_s[s][1] for s in remaining)
-        return lo <= inf and inf + len(factors) <= hi
+        # Parities agree by themselves: rest's exponent sum is the tail's s sum.
+        return odd >= d - cycle_count(nf_permutation(d, rest))
 
     # A remainder that fails for a suffix of s-values fails for it in every
     # ordering, so dead states are keyed on (suffix, rest) and shared.  A
@@ -322,6 +347,9 @@ def search_factorization(
         return None
 
     for seq in _orderings(profile):
+        if not _least_in_class(seq):
+            budget.tick()  # so that max_nodes bounds the orderings examined
+            continue
         # the full twist is D^2, as d >= 2 (d = 1 has only the empty profile)
         choice = rec(seq, (2, ()))
         if choice is not None:

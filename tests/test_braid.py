@@ -14,6 +14,7 @@ from braidfact.braid import (
     compose,
     conjugate,
     conjugacy_test,
+    cycle_count,
     cycle_type,
     cycles,
     enumerate_braids,
@@ -556,6 +557,7 @@ def test_cycle_type_agrees_with_a_brute_force_orbit_count():
     for d in range(1, 7):
         for p in itertools.permutations(range(d)):
             assert list(cycle_type(p)) == brute_cycle_type(p), p
+            assert cycle_count(p) == len(brute_cycle_type(p)), p
             cs = cycles(p)
             assert all(len(c) > 1 and c[0] == min(c) for c in cs), p
             assert list(cs) == sorted(cs), p
@@ -563,6 +565,7 @@ def test_cycle_type_agrees_with_a_brute_force_orbit_count():
     assert cycles((1, 0, 3, 4, 2)) == ((0, 1), (2, 3, 4))
     assert cycle_type((1, 0, 3, 4, 2)) == (3, 2)
     assert cycle_type(()) == ()
+    assert cycle_count(()) == 0
 
 
 def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):

@@ -24,6 +24,7 @@ from braidfact.errors import FormatError, SearchBudgetExceeded
 from braidfact.factorization import (
     CuspidalFactor,
     _cusp_key,
+    _least_in_class,
     _orderings,
     Factorization,
     canonical_key,
@@ -340,6 +341,10 @@ def assert_matches_brute_force(d, profile, bound):
         ((2, 1, 1, 1, 1), 1),
         ((2, 1, 1, 1, 1), 2),
         ((3, 3), 2),  # nothing found
+        # six orderings in one rotation-and-mirror class, five of them skipped
+        ((3, 2, 1), 0),  # nothing found
+        ((3, 2, 1), 1),  # nothing found
+        ((3, 2, 1), 2),  # nothing found
     ],
 )
 def test_search_matches_brute_force_order(profile, bound):
@@ -352,7 +357,7 @@ def test_search_matches_brute_force_order(profile, bound):
         ((3, 3, 3, 3), 1, 0),  # nothing found
         ((3, 3, 3, 3), 2, 1),  # nothing found
         ((3, 3, 2, 2, 2), 1, 1),  # nothing found
-        ((3, 3, 3, 2, 1), 1, 3),  # nothing found
+        ((3, 3, 3, 2, 1), 1, 1),  # nothing found
     ],
 )
 def test_search_with_pair_tables_matches_brute_force_order(pair_tables, profile, bound, tables):
@@ -380,9 +385,64 @@ def test_search_table_build_respects_the_node_budget(pair_tables):
     assert pair_tables[1][2] == switch  # the build had started
 
 
+def mirror(F):
+    """The mirror under sigma_i -> sigma_i^-1: factors reversed, each
+    conjugator's letters negated, s kept."""
+    d = F.strands
+    factors = tuple(
+        CuspidalFactor(BraidWord(d, tuple(-k for k in f.rho.letters)), f.s)
+        for f in reversed(F.factors)
+    )
+    return Factorization(d, factors, F.target)
+
+
+@pytest.mark.parametrize(
+    "d, profile, bound",
+    [(3, (3, 1, 1, 1), 4), (3, (2, 2, 1, 1), 2), (3, (1,) * 6, 2), (4, (3, 3) + (1,) * 6, 2)],
+)
+def test_witness_rotations_and_mirror_validate(d, profile, bound):
+    # the symmetries the search's ordering loop relies on
+    F = search_factorization(d, profile, bound)
+    assert F is not None
+    for i in range(F.r):
+        assert validate(Factorization(d, F.factors[i:] + F.factors[:i], F.target)).ok
+    M = mirror(F)
+    report = validate(M)
+    assert report.ok
+    # the mirror's conjugators keep their lengths, so each of its factor
+    # braids is one the search draws at the same bound
+    assert [len(f.rho.letters) for f in M.factors] == [len(f.rho.letters) for f in reversed(F.factors)]
+    drawn = {s: {_cusp_key(d, s, nf_key(z)) for z in enumerate_braids(d, bound)} for s in set(profile)}
+    assert all(key in drawn[f.s] for f, key in zip(M.factors, report.key))
+
+
+def test_search_skips_orderings_that_a_rotation_or_mirror_precedes(monkeypatch):
+    # (4;3,3,3,1,1,1) at bound 1 searches 3 of its 20 orderings: 1,532
+    # products with all 20, 395 with the 3
+    products = []
+    mul = factorization.nf_mul
+
+    def spy(d, *keys):
+        products.append(keys)
+        return mul(d, *keys)
+
+    monkeypatch.setattr(factorization, "nf_mul", spy)
+    assert search_factorization(4, (3, 3, 3, 1, 1, 1), 1) is None
+    assert len(products) <= 400
+
+
 def test_orderings_distinct_and_ascending():
     for profile in [(), (1,), (1, 1, 1), (1, 1, 2, 3), (1, 2, 2, 3, 3)]:
         assert list(_orderings(profile)) == sorted(set(itertools.permutations(profile)))
+
+
+def test_least_in_class_keeps_one_ordering_per_rotation_and_mirror_class():
+    for profile in [(1,), (1, 1, 2, 2), (1, 2, 3), (1, 1, 2, 3, 3), (1, 1, 1, 2, 2, 3)]:
+        classes = {
+            min(t[i:] + t[:i] for t in (seq, seq[::-1]) for i in range(len(seq)))
+            for seq in itertools.permutations(profile)
+        }
+        assert [seq for seq in _orderings(profile) if _least_in_class(seq)] == sorted(classes)
 
 
 def test_search_orderings_are_lazy():
