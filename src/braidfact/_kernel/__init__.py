@@ -20,6 +20,7 @@ if _compiled is not None and os.environ.get("BRAIDFACT_PURE", "") not in ("1", "
 IMPL_NAME = _impl.IMPL_NAME
 normal_form = _impl.normal_form
 normal_form_factors = _impl.normal_form_factors
+product = _impl.product
 
 
 def implementations():

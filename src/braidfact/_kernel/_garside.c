@@ -7,7 +7,9 @@
  * left to right; both entries share one Delta shift and one comb.  Every
  * letter, key and image tuple is validated (ValueError for values out of
  * range), and tests/test_kernel.py holds both entries to the pure twin and
- * to a brute-force reference.  setup.py builds it as an optional extension.
+ * to a brute-force reference.  product, which the package multiplies
+ * through, is a second name of normal_form_factors here: the checks cost
+ * little at C speed.  setup.py builds it as an optional extension.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -417,9 +419,14 @@ done:
     return result;
 }
 
+PyDoc_STRVAR(product_doc,
+"product(d, keys)\n--\n\n"
+"normal_form_factors(d, keys), under the name the package multiplies through.");
+
 static PyMethodDef garside_methods[] = {
     {"normal_form", normal_form, METH_VARARGS, normal_form_doc},
     {"normal_form_factors", normal_form_factors, METH_VARARGS, normal_form_factors_doc},
+    {"product", normal_form_factors, METH_VARARGS, product_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -17,15 +17,16 @@ letters in reading order.  Under this convention
   - a pair (a, b) is left-weighted iff starting(b) is contained in
     finishing(a).
 
-The kernel has two entries on one shift and one comb.  normal_form
+The kernel's entries share one shift and one comb.  normal_form
 takes a signed letter word and folds it into runs, each one permutation
 braid: a letter joins the current run while it adds a crossing (sigma_i)
 or cancels one (sigma_i^-1), else it opens the next run, with a Delta^-1
-before it if the letter is inverse.  normal_form_factors takes normal-form
-keys (inf, factors), each inf before the key's first factor, so a product
-of normal forms is combed only where its factors do not already fit (the
+before it if the letter is inverse.  product takes normal-form keys
+(inf, factors), each inf before the key's first factor, so a product of
+normal forms is combed only where its factors do not already fit (the
 right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9).  _shift moves every Delta power to the front.
+ch. 9); normal_form_factors checks the keys and hands them to product.
+_shift moves every Delta power to the front.
 
 The comb slides crossings from the front of a factor to the back of its
 left neighbour until every pair is left-weighted: one insertion pass per
@@ -44,28 +45,21 @@ function of its pair, and _fix_pair and _tau are memoised by bounded
 lru_caches.
 Searches that multiply the same few normal forms over and over (the
 Hurwitz orbits) comb the same pairs again and again, and repeat about 98%
-of their steps.  normal_form_factors checks every factor it is given
-strictly, as _garside.c checks it: every length first, then each image
-through operator.index (a bool is its int, a float a TypeError), in
-range(d) and not repeated.  Factors whose images are all plain ints and
-that are permutations, which is all the package passes, are checked at C
-speed and kept as they are, so the memo sees the same tuple objects again.
-A factor found to be a permutation joins _PERMS, a bounded set, and later
-calls look it up there instead of sorting it again.  The lookup comes only
-after the exact-int type check, and a tuple of plain ints equal to a
-permutation is that permutation, so _PERMS cannot change accept or
-reject: without the type check, (1.0, 0, 2) would be found, as it equals
-and hashes like (1, 0, 2).  The memos likewise only ever see checked int
-tuples, so what they hold never decides an answer.  Letters go through
-operator.index too, before the range check.
+of their steps.  normal_form and normal_form_factors check their input
+strictly, as _garside.c does: letters and images go through operator.index
+(a bool is its int, a float a TypeError) before the range check, and
+normal_form_factors checks every length before any image.  product checks
+nothing: its factors must be int tuples of permutations of range(d), as
+those of every key the package builds from kernel output are, so input is
+checked once, where it enters.  A factor that breaks this contract can
+leave a wrong pair in the memos.
 
 This module must stay behaviourally identical to the compiled twin in
-_garside.c; tests/test_kernel.py holds both to a brute-force fixpoint
-reference and to each other.
+_garside.c, product on keys that keep its contract; tests/test_kernel.py
+holds both to a brute-force fixpoint reference and to each other.
 """
 
 from functools import lru_cache
-from itertools import chain, filterfalse
 from operator import index
 
 IMPL_NAME = "pure"
@@ -73,10 +67,6 @@ IMPL_NAME = "pure"
 # Entries of each memo: more than the distinct pairs one Hurwitz search
 # combs (under 500); full of factors from B_2..B_8, the two hold about 0.6 MB.
 _MEMO_SIZE = 1 << 10
-
-# Int tuples that normal_form_factors found to be permutations: at most
-# _MEMO_SIZE, emptied when full.
-_PERMS = set()
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -246,49 +236,44 @@ def _checked(f, d):
     return tuple(images)
 
 
-def _are_permutations(raw, d):
-    """Whether every tuple in raw, each of d plain ints, is a permutation of
-    range(d).  Tuples in _PERMS are; the others are sorted, and join it if
-    all of them pass."""
-    new = list(filterfalse(_PERMS.__contains__, raw))
-    if new:
-        identity = list(range(d))
-        if not all(map(identity.__eq__, map(sorted, new))):
-            return False
-        if len(_PERMS) + len(new) > _MEMO_SIZE:
-            _PERMS.clear()
-        _PERMS.update(new[:_MEMO_SIZE])
-    return True
-
-
-def normal_form_factors(d, keys):
-    """Left normal form of the product of keys, left to right.
+def product(d, keys):
+    """Left normal form of the product of keys, left to right, unchecked.
 
     Each key is a pair (inf, factors) for D^inf * F_1 * ... * F_n, each F_i
-    a permutation braid given as the one-line notation of its permutation
-    of range(d); it may be the identity or the half twist.  Returns
-    (inf, factors) exactly as normal_form does.
+    a permutation braid given as the int tuple of its permutation of
+    range(d); it may be the identity or the half twist.  Returns
+    (inf, factors) exactly as normal_form does.  Nothing is checked: a key
+    that breaks this contract gives a wrong answer or an arbitrary error.
     """
-    if d < 1:
-        raise ValueError("strand count must be >= 1")
     raw = []
     powers = []
     power = 0  # carried by the next factor, or trailing if none follows
     for inf, factors in keys:
-        power += index(inf)
+        power += inf
+        for f in factors:
+            raw.append(f)
+            powers.append(power)
+            power = 0
+    if d == 1:
+        return 0, ()  # the half twist of B_1 is the identity
+    return _comb(d, _shift(raw, powers, power), raw)
+
+
+def normal_form_factors(d, keys):
+    """product(d, keys) with every key checked as _garside.c checks it: the
+    strand count, then each key's inf (through operator.index) and the
+    length of each of its factors, key by key, then every image through
+    _checked."""
+    if d < 1:
+        raise ValueError("strand count must be >= 1")
+    checked = []
+    for inf, factors in keys:
+        inf = index(inf)
+        tuples = []
         for f in factors:
             t = tuple(f)
             if len(t) != d:
                 raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
-            raw.append(t)
-            powers.append(power)
-            power = 0
-    # as in _garside.c, every length is checked before any image; factors
-    # of plain ints that are permutations pass as they are, and any other
-    # is converted or rejected image by image
-    ints = set(map(type, chain.from_iterable(raw))) <= {int}
-    if not (ints and _are_permutations(raw, d)):
-        raw = [_checked(f, d) for f in raw]
-    if d == 1:
-        return 0, ()  # the half twist of B_1 is the identity
-    return _comb(d, _shift(raw, powers, power), raw)
+            tuples.append(t)
+        checked.append((inf, tuples))
+    return product(d, [(inf, [_checked(t, d) for t in tuples]) for inf, tuples in checked])

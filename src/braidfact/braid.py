@@ -16,8 +16,11 @@ Conventions used throughout the package:
   search loops here and in factorization and equivalence hold braids as
   these pairs and form products and inverses only with nf_mul and nf_inv:
   an inverse is exact and needs no kernel call, and a product hands the
-  keys themselves to the kernel's factor entry, which moves the half-twist
+  keys themselves to the kernel's product, which moves the half-twist
   powers to the front and combs only where the factors do not already fit.
+  The pure kernel's product checks nothing: every key it gets is built
+  from kernel output (nf_key, nf_inv, _simple_steps, slices of those, bare
+  half-twist powers), and words are checked where they enter, by BraidWord.
   Words appear only at input and output.  nf_key (on a word's letters),
   nf_mul and nf_inv are each memoised on their own arguments.
 """
@@ -31,7 +34,7 @@ from functools import lru_cache
 from operator import index
 
 from ._kernel import normal_form as _kernel_normal_form
-from ._kernel import normal_form_factors as _kernel_normal_form_factors
+from ._kernel import product as _kernel_product
 from .errors import FormatError, SearchBudgetExceeded, WorkBudget
 
 
@@ -190,11 +193,11 @@ def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the product of the braids with these keys, left to right.
 
-    One call of the kernel's factor entry, which moves the half-twist powers
-    to the front; a repeated product is a memo hit and makes no call.
+    One call of the kernel's unchecked product, which moves the half-twist
+    powers to the front; a repeated product is a memo hit and makes no call.
     nf_mul(d) is the identity (0, ()).
     """
-    return _kernel_normal_form_factors(d, keys)
+    return _kernel_product(d, keys)
 
 
 def nf_letters(d: int, key) -> tuple[int, ...]:

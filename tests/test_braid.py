@@ -6,6 +6,7 @@ import random
 import pytest
 
 from braidfact import braid
+from braidfact._kernel import garside_py
 from braidfact.braid import (
     BraidWord,
     _simple_letters,
@@ -573,11 +574,9 @@ def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):
     d = 4
     keys = (nf_key(BraidWord(d, (1, 2, -3, 2))), nf_key(BraidWord(d, (-1,))))
     assert keys[1][0] % 2 and keys[0][1]  # the first key's factors pass an odd D-power
-    kernel = braid._kernel_normal_form_factors
+    kernel = braid._kernel_product
     kernel_calls = []
-    monkeypatch.setattr(
-        braid, "_kernel_normal_form_factors", lambda *a: kernel_calls.append(a) or kernel(*a)
-    )
+    monkeypatch.setattr(braid, "_kernel_product", lambda *a: kernel_calls.append(a) or kernel(*a))
     nf_mul.cache_clear()
     nf_inv.cache_clear()
     product = nf_mul(d, *keys)
@@ -587,6 +586,22 @@ def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):
     assert nf_mul.cache_info().hits == 1
     assert nf_inv(d, product) == nf_inv(d, product) == nf_key(invert(BraidWord(d, (1, 2, -3, 2, -1))))
     assert nf_inv.cache_info().hits == 1
+
+
+@pytest.mark.skipif(
+    braid._kernel_product is not garside_py.product, reason="the compiled kernel is active"
+)
+def test_products_run_no_factor_check(monkeypatch):
+    # every key nf_mul gets is built from kernel output, so the pure
+    # kernel's product never checks a factor image
+    def no_check(f, d):
+        raise AssertionError("factor checked")
+
+    monkeypatch.setattr(garside_py, "_checked", no_check)
+    nf_mul.cache_clear()
+    res = conjugacy_test(BraidWord(3, (1, 1, 1)), BraidWord(3, (2, 2, 2)), 5000)
+    assert res.outcome == "conjugate"
+    assert nf_mul.cache_info().misses
 
 
 def test_simple_steps_are_the_normalised_permutation_braids():
