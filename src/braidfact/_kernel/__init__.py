@@ -1,5 +1,9 @@
 """Kernel selection: compiled Garside normal-form core with pure fallback.
 
+Each kernel has two entries, normal_form(d, letters) and product(d, keys).
+The pure kernel checks nothing, and the compiled one checks everything:
+the package checks its input once, where it enters (see braidfact.braid).
+
 Set BRAIDFACT_PURE=1 to force the pure-Python implementation even when the
 compiled extension is available.
 """
@@ -19,7 +23,6 @@ if _compiled is not None and os.environ.get("BRAIDFACT_PURE", "") not in ("1", "
 
 IMPL_NAME = _impl.IMPL_NAME
 normal_form = _impl.normal_form
-normal_form_factors = _impl.normal_form_factors
 product = _impl.product
 
 

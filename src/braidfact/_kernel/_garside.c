@@ -1,15 +1,15 @@
 /* Compiled twin of garside_py: left-greedy Garside normal forms in B_d.
  *
- * Same contract and conventions as braidfact._kernel.garside_py, written
- * directly against the CPython API: normal_form(d, letters) folds the word
- * into runs of letters that stay one permutation braid, and
- * normal_form_factors(d, keys) multiplies normal-form keys (inf, factors)
- * left to right; both entries share one Delta shift and one comb.  Every
- * letter, key and image tuple is validated (ValueError for values out of
- * range), and tests/test_kernel.py holds both entries to the pure twin and
- * to a brute-force reference.  product, which the package multiplies
- * through, is a second name of normal_form_factors here: the checks cost
- * little at C speed.  setup.py builds it as an optional extension.
+ * Same conventions as braidfact._kernel.garside_py, written directly
+ * against the CPython API: normal_form(d, letters) folds the word into
+ * runs of letters that stay one permutation braid, and product(d, keys)
+ * multiplies normal-form keys (inf, factors) left to right; both entries
+ * share one Delta shift and one comb.  The pure kernel checks nothing;
+ * this one checks everything, because a bad letter or image would index
+ * out of bounds here: the strand count and every letter, key and image
+ * are validated (TypeError for a non-integer, ValueError for a value out
+ * of range).  tests/test_kernel.py holds both entries to the pure twin and to
+ * a brute-force reference.  setup.py builds it as an optional extension.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -286,15 +286,15 @@ done:
     return result;
 }
 
-PyDoc_STRVAR(normal_form_factors_doc,
-"normal_form_factors(d, keys)\n--\n\n"
+PyDoc_STRVAR(product_doc,
+"product(d, keys)\n--\n\n"
 "Left normal form of the product of keys (inf, factors), left to right,\n"
 "each (inf, factors) the braid Delta^inf * F_1 * ... * F_n, each F_i a\n"
 "permutation braid given by its images of range(d) (the identity and\n"
 "Delta allowed).");
 
 static PyObject *
-normal_form_factors(PyObject *Py_UNUSED(self), PyObject *args)
+product(PyObject *Py_UNUSED(self), PyObject *args)
 {
     int d, pending = 0;
     PyObject *keys, *it, *key, *rows = NULL, *odds = NULL, *total, *result = NULL;
@@ -302,7 +302,7 @@ normal_form_factors(PyObject *Py_UNUSED(self), PyObject *args)
     int *raw = NULL;
     char *odd = NULL, *seen = NULL;
 
-    if (!PyArg_ParseTuple(args, "iO:normal_form_factors", &d, &keys))
+    if (!PyArg_ParseTuple(args, "iO:product", &d, &keys))
         return NULL;
     if (d < 1) {
         PyErr_SetString(PyExc_ValueError, "strand count must be >= 1");
@@ -419,14 +419,9 @@ done:
     return result;
 }
 
-PyDoc_STRVAR(product_doc,
-"product(d, keys)\n--\n\n"
-"normal_form_factors(d, keys), under the name the package multiplies through.");
-
 static PyMethodDef garside_methods[] = {
     {"normal_form", normal_form, METH_VARARGS, normal_form_doc},
-    {"normal_form_factors", normal_form_factors, METH_VARARGS, normal_form_factors_doc},
-    {"product", normal_form_factors, METH_VARARGS, product_doc},
+    {"product", product, METH_VARARGS, product_doc},
     {NULL, NULL, 0, NULL},
 };
 

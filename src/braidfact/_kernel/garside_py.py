@@ -25,8 +25,7 @@ before it if the letter is inverse.  product takes normal-form keys
 (inf, factors), each inf before the key's first factor, so a product of
 normal forms is combed only where its factors do not already fit (the
 right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9); normal_form_factors checks the keys and hands them to product.
-_shift moves every Delta power to the front.
+ch. 9).  _shift moves every Delta power to the front.
 
 The comb slides crossings from the front of a factor to the back of its
 left neighbour until every pair is left-weighted: one insertion pass per
@@ -45,22 +44,22 @@ function of its pair, and _fix_pair and _tau are memoised by bounded
 lru_caches.
 Searches that multiply the same few normal forms over and over (the
 Hurwitz orbits) comb the same pairs again and again, and repeat about 98%
-of their steps.  normal_form and normal_form_factors check their input
-strictly, as _garside.c does: letters and images go through operator.index
-(a bool is its int, a float a TypeError) before the range check, and
-normal_form_factors checks every length before any image.  product checks
-nothing: its factors must be int tuples of permutations of range(d), as
-those of every key the package builds from kernel output are, so input is
-checked once, where it enters.  A factor that breaks this contract can
-leave a wrong pair in the memos.
+of their steps.
+
+This kernel checks nothing; _garside.c checks everything.  Its input must
+keep the contract: d >= 1, every letter an int with 1 <= |k| <= d-1, every
+factor an int tuple of a permutation of range(d).  The package keeps it by
+checking once, where input enters: BraidWord checks the strand count and
+every letter, and every key product gets is built from kernel output.
+Input that breaks the contract gives a wrong answer or an arbitrary error,
+and can leave a wrong pair in the memos.
 
 This module must stay behaviourally identical to the compiled twin in
-_garside.c, product on keys that keep its contract; tests/test_kernel.py
+_garside.c on input that keeps the contract; tests/test_kernel.py
 holds both to a brute-force fixpoint reference and to each other.
 """
 
 from functools import lru_cache
-from operator import index
 
 IMPL_NAME = "pure"
 
@@ -185,8 +184,6 @@ def normal_form(d, letters):
     for its inverse.  Returns (inf, factors) where factors is a tuple of
     permutation tuples in one-line notation over range(d).
     """
-    if d < 1:
-        raise ValueError("strand count must be >= 1")
     if not letters:
         return 0, ()
 
@@ -201,10 +198,8 @@ def normal_form(d, letters):
     # with one inverse half twist, before the letter is applied.
     raw = []
     dpows = []
-    for k in map(index, letters):
+    for k in letters:
         i = abs(k) - 1
-        if i < 0 or i >= d - 1:
-            raise ValueError("letter %d out of range for %d strands" % (k, d))
         if not raw or (pi[i] < pi[i + 1]) != (k > 0):
             p = list(identity if k > 0 else w0)
             pi = p[:]  # the identity and w0 are involutions
@@ -219,21 +214,6 @@ def normal_form(d, letters):
 
     raw = list(map(tuple, raw))
     return _comb(d, _shift(raw, dpows, 0), raw)
-
-
-def _checked(f, d):
-    """The factor f of B_d as an int tuple, checked as _garside.c checks it:
-    image by image, each an integer (TypeError) in range(d) and not
-    repeated (ValueError)."""
-    seen = [False] * d
-    images = []
-    for v in f:
-        v = index(v)
-        if not 0 <= v < d or seen[v]:
-            raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
-        seen[v] = True
-        images.append(v)
-    return tuple(images)
 
 
 def product(d, keys):
@@ -257,23 +237,3 @@ def product(d, keys):
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity
     return _comb(d, _shift(raw, powers, power), raw)
-
-
-def normal_form_factors(d, keys):
-    """product(d, keys) with every key checked as _garside.c checks it: the
-    strand count, then each key's inf (through operator.index) and the
-    length of each of its factors, key by key, then every image through
-    _checked."""
-    if d < 1:
-        raise ValueError("strand count must be >= 1")
-    checked = []
-    for inf, factors in keys:
-        inf = index(inf)
-        tuples = []
-        for f in factors:
-            t = tuple(f)
-            if len(t) != d:
-                raise ValueError("factor %r is not a permutation of range(%d)" % (f, d))
-            tuples.append(t)
-        checked.append((inf, tuples))
-    return product(d, [(inf, [_checked(t, d) for t in tuples]) for inf, tuples in checked])

@@ -18,9 +18,11 @@ Conventions used throughout the package:
   an inverse is exact and needs no kernel call, and a product hands the
   keys themselves to the kernel's product, which moves the half-twist
   powers to the front and combs only where the factors do not already fit.
-  The pure kernel's product checks nothing: every key it gets is built
+  The pure kernel checks nothing (the compiled one checks everything), so
+  input is checked once, where it enters: BraidWord checks the strand count
+  and every letter of a word, and every key handed to product is built
   from kernel output (nf_key, nf_inv, _simple_steps, slices of those, bare
-  half-twist powers), and words are checked where they enter, by BraidWord.
+  half-twist powers).
   Words appear only at input and output.  nf_key (on a word's letters),
   nf_mul and nf_inv are each memoised on their own arguments.
 """
@@ -46,8 +48,9 @@ MAX_STRANDS = 1024
 class BraidWord:
     """A word in the Artin generators of B_d; not stored freely reduced.
 
-    Letters are stored as ints: each goes through operator.index, so a
-    float or a string is a TypeError and a bool counts as its int.
+    The strand count and the letters are stored as ints: each goes through
+    operator.index, so a float or a string is a TypeError and a bool counts
+    as its int.  The pure kernel re-checks neither.
     """
 
     strands: int
@@ -55,6 +58,9 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         strands = self.strands
+        if type(strands) is not int:
+            strands = index(strands)
+            object.__setattr__(self, "strands", strands)
         if strands < 1:
             raise ValueError("strand count must be >= 1")
         letters = tuple(self.letters)
@@ -193,7 +199,7 @@ def nf_inv(d: int, key) -> tuple[int, tuple[tuple[int, ...], ...]]:
 def nf_mul(d: int, *keys) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """nf_key of the product of the braids with these keys, left to right.
 
-    One call of the kernel's unchecked product, which moves the half-twist
+    One call of the kernel's product, which moves the half-twist
     powers to the front; a repeated product is a memo hit and makes no call.
     nf_mul(d) is the identity (0, ()).
     """

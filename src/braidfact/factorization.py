@@ -158,6 +158,8 @@ def hurwitz_move(F: Factorization, i: int, direction: str) -> Factorization:
     """
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, got {direction!r}")
+    if F.r < 2:
+        raise IndexError(f"no adjacent pair of factors to move (r = {F.r})")
     if not 1 <= i < F.r:
         raise IndexError(f"move index {i} out of range 1..{F.r - 1}")
     a = F.factors[i - 1]

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from braidfact import braid
-from braidfact._kernel import garside_py
 from braidfact.braid import (
     BraidWord,
     _simple_letters,
@@ -107,9 +106,20 @@ def test_word_letters_are_ints():
     w = BraidWord(3, [True, -2])
     assert w.letters == (1, -2) and all(type(k) is int for k in w.letters)
     assert BraidWord(3, (1, -2)).letters == (1, -2)
-    for letters in ((False,), (2**70,), (1, -3)):
+    for letters in ((False,), (2**70,), (-(2**70),), (1, -3)):
         with pytest.raises(ValueError):
             BraidWord(3, letters)
+
+
+def test_word_strand_count_is_an_int():
+    # the strand count goes through operator.index as the letters do, so no
+    # word reaches the kernel with a strand count it cannot take
+    for strands in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            BraidWord(strands, (1, 2))
+    w = BraidWord(True, ())
+    assert w.strands == 1 and type(w.strands) is int
+    assert nf_key(w) == (0, ())
 
 
 def test_canonical_form_anchors():
@@ -586,22 +596,6 @@ def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):
     assert nf_mul.cache_info().hits == 1
     assert nf_inv(d, product) == nf_inv(d, product) == nf_key(invert(BraidWord(d, (1, 2, -3, 2, -1))))
     assert nf_inv.cache_info().hits == 1
-
-
-@pytest.mark.skipif(
-    braid._kernel_product is not garside_py.product, reason="the compiled kernel is active"
-)
-def test_products_run_no_factor_check(monkeypatch):
-    # every key nf_mul gets is built from kernel output, so the pure
-    # kernel's product never checks a factor image
-    def no_check(f, d):
-        raise AssertionError("factor checked")
-
-    monkeypatch.setattr(garside_py, "_checked", no_check)
-    nf_mul.cache_clear()
-    res = conjugacy_test(BraidWord(3, (1, 1, 1)), BraidWord(3, (2, 2, 2)), 5000)
-    assert res.outcome == "conjugate"
-    assert nf_mul.cache_info().misses
 
 
 def test_simple_steps_are_the_normalised_permutation_braids():

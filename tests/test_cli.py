@@ -336,6 +336,15 @@ def test_move_bad_index_is_usage_error(capsys, cubic_file):
     assert run(capsys, "move", cubic_file, "0")[0] == 64
 
 
+def test_move_without_an_adjacent_pair_is_usage_error(capsys, tmp_path):
+    for r, text in enumerate(("", "factor s=1 rho=\n")):
+        path = tmp_path / f"r{r}.fact"
+        path.write_text("strands 2\ntarget full_twist\n" + text)
+        code, out, err = run(capsys, "move", str(path), "1")
+        assert (code, out) == (64, ""), r
+        assert err == f"usage error: no adjacent pair of factors to move (r = {r})\n"
+
+
 def test_malformed_files_exit_65(capsys, tmp_path):
     assert run(capsys, "validate", str(tmp_path / "missing.fact"))[0] == 65
     bad = tmp_path / "bad.fact"

@@ -193,9 +193,35 @@ def random_factors(rng, d):
     ]
 
 
+def tau(f):
+    """The conjugate of a permutation braid by the half twist."""
+    return tuple(len(f) - 1 - y for y in reversed(f))
+
+
+def one_key(keys):
+    """The product of keys as one key: every half-twist power moved to the
+    front, a factor passing D^n becoming tau^n of itself."""
+    total = right = sum(inf for inf, _ in keys)
+    factors = []
+    for inf, fs in keys:
+        right -= inf
+        factors.extend(map(tau, fs) if right % 2 else fs)
+    return total, factors
+
+
+def ref_product(d, keys):
+    """Reference normal form of the product of keys: ref_comb of one_key."""
+    return ref_comb(d, *one_key(keys)) if d > 1 else (0, ())  # the half twist of B_1 is trivial
+
+
 @pytest.fixture(params=["pure", "compiled"])
 def kernel(request):
     return garside_py if request.param == "pure" else request.getfixturevalue("compiled")
+
+
+# The rejection tests run on the compiled kernel alone: the pure kernel
+# checks nothing, and its input is checked where it enters the package.
+checking_kernel = pytest.mark.parametrize("kernel", ["compiled"], indirect=True)
 
 
 @pytest.fixture(autouse=True)
@@ -354,7 +380,7 @@ def test_every_pair_of_permutation_braids(kernel, d):
     perms = list(itertools.permutations(range(d)))
     for a in perms:
         for b in perms:
-            assert kernel.normal_form_factors(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
+            assert kernel.product(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 def test_random_pairs_in_b6_to_b8(kernel):
@@ -364,7 +390,7 @@ def test_random_pairs_in_b6_to_b8(kernel):
     for _ in range(2000):
         d = rng.randint(6, 8)
         a, b = (tuple(rng.sample(range(d), d)) for _ in range(2))
-        assert kernel.normal_form_factors(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
+        assert kernel.product(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +412,7 @@ def middle_half_twist_cases():
 
 def test_half_twist_factor_in_the_middle(kernel, middle_half_twist_cases):
     for d, inf, factors, expected in middle_half_twist_cases:
-        assert kernel.normal_form_factors(d, [(inf, factors)]) == expected, (d, inf, factors)
+        assert kernel.product(d, [(inf, factors)]) == expected, (d, inf, factors)
 
 
 @pytest.fixture(scope="module")
@@ -417,45 +443,47 @@ def factor_cases():
         d = rng.randint(1, 8)
         factors = random_factors(rng, d)
         inf = rng.randint(-3, 3)
-        cases.append((d, inf, factors, ref_normal_form(d, factors_word(d, inf, factors))))
+        cases.append((d, inf, factors, ref_product(d, [(inf, factors)])))
     return cases
 
 
 def test_factors_against_reference(kernel, factor_cases):
     for d, inf, factors, expected in factor_cases:
-        got = kernel.normal_form_factors(d, [(inf, factors)])
+        got = kernel.product(d, [(inf, factors)])
         assert got == expected, (d, inf, factors)
         assert_left_weighted(d, got[1])
-    assert kernel.normal_form_factors(4, []) == (0, ())
-    assert kernel.normal_form_factors(4, [(0, [])]) == (0, ())
-    assert kernel.normal_form_factors(4, [(-2, [(0, 1, 2, 3)])]) == (-2, ())
-    assert kernel.normal_form_factors(4, [(-1, [(3, 2, 1, 0)] * 3)]) == (2, ())
+    assert kernel.product(4, []) == (0, ())
+    assert kernel.product(4, [(0, [])]) == (0, ())
+    assert kernel.product(4, [(-2, [(0, 1, 2, 3)])]) == (-2, ())
+    assert kernel.product(4, [(-1, [(3, 2, 1, 0)] * 3)]) == (2, ())
 
 
 @pytest.mark.parametrize("factor", [(0, 1), (0, 1, 2, 3), (0, 0, 2), (0, 1, 3), (-1, 0, 1)])
+@checking_kernel
 def test_malformed_factor_raises(kernel, factor):
     with pytest.raises(ValueError):
-        kernel.normal_form_factors(3, [(0, [(1, 0, 2), factor])])
+        kernel.product(3, [(0, [(1, 0, 2), factor])])
 
 
 @pytest.mark.parametrize("warm", [False, True])
+@checking_kernel
 def test_factor_images_must_be_ints(kernel, warm):
-    # images go through operator.index, as in _garside.c: a bool counts as
-    # its int, a float or a string is a TypeError, whatever the memos hold;
-    # the first bad image of a factor decides the error
+    # images are read through __index__: a bool counts as its int, a float
+    # or a string is a TypeError, whatever was multiplied before; the first
+    # bad image of a factor decides the error
     if warm:
         for factors in ([(1, 0, 2), (1, 0, 2)], [(1, 0, 2), (0, 2, 1)]):
-            got = kernel.normal_form_factors(3, [(0, factors)])
-            assert kernel.normal_form_factors(3, [got]) == got
+            got = kernel.product(3, [(0, factors)])
+            assert kernel.product(3, [got]) == got
             with pytest.raises(ValueError):  # a factor of B_3 is none of B_4
-                kernel.normal_form_factors(4, [got])
+                kernel.product(4, [got])
     for d, factors in ((3, [(1.0, 0, 2)]), (3, [(1.0, 0, 2), (0, 2, 1)]), (1, [("a",)])):
         with pytest.raises(TypeError):
-            kernel.normal_form_factors(d, [(0, factors)])
+            kernel.product(d, [(0, factors)])
     for factor, error in ((1, 1.0, 0), TypeError), ((5, 1.0, 0), ValueError), ((1, 1, 1.0), ValueError):
         with pytest.raises(error):
-            kernel.normal_form_factors(3, [(0, [factor])])
-    got = kernel.normal_form_factors(3, [(0, [(True, False, 2)])])
+            kernel.product(3, [(0, [factor])])
+    got = kernel.product(3, [(0, [(True, False, 2)])])
     assert got == (0, ((1, 0, 2),)) and all(type(v) is int for v in got[1][0])
 
 
@@ -477,45 +505,28 @@ def test_memos_are_transparent_and_bounded(kernel):
         for d, letters, expected in words:
             got = kernel.normal_form(d, letters)
             assert got == expected, (d, letters)
-            assert kernel.normal_form_factors(d, [got]) == expected
+            assert kernel.product(d, [got]) == expected
         for d, inf, factors, expected in keys:
-            got = kernel.normal_form_factors(d, [(inf, factors)])
+            got = kernel.product(d, [(inf, factors)])
             assert got == expected, (d, inf, factors)
-            assert kernel.normal_form_factors(d, [got]) == expected
+            assert kernel.product(d, [got]) == expected
         assert garside_py._fix_pair.cache_info().currsize <= garside_py._MEMO_SIZE
         assert garside_py._tau.cache_info().currsize <= garside_py._MEMO_SIZE
 
     check()
     check()
     for _ in range(2 * garside_py._MEMO_SIZE):
-        kernel.normal_form_factors(8, [(1, [tuple(rng.sample(range(8), 8)) for _ in range(2)])])
+        kernel.product(8, [(1, [tuple(rng.sample(range(8), 8)) for _ in range(2)])])
     if kernel is garside_py:
         assert garside_py._fix_pair.cache_info().currsize == garside_py._MEMO_SIZE
     check()
-
-
-def tau(f):
-    """The conjugate of a permutation braid by the half twist."""
-    return tuple(len(f) - 1 - y for y in reversed(f))
-
-
-def one_key(keys):
-    """The product of keys as one key: every half-twist power moved to the
-    front, a factor passing D^n becoming tau^n of itself."""
-    total = right = sum(inf for inf, _ in keys)
-    factors = []
-    for inf, fs in keys:
-        right -= inf
-        factors.extend(map(tau, fs) if right % 2 else fs)
-    return total, factors
 
 
 @pytest.fixture(scope="module")
 def multi_key_cases():
     """Seeded (d, keys, expected) in B_1..B_7: keys with no factors first,
     in the middle and last, negative infs, identity and half-twist factors,
-    and infs of 2**70; expected is the reference normal form of the product,
-    or None when some inf is too large to spell out as a word."""
+    and infs of 2**70; expected is the reference normal form of the product."""
     rng = random.Random(20261019)
     cases = []
     for j in range(300):
@@ -523,23 +534,29 @@ def multi_key_cases():
         keys = [(rng.randint(-3, 3), random_factors(rng, d)) for _ in range(rng.randint(0, 4))]
         slot = rng.randint(0, len(keys))
         keys.insert(slot, (rng.choice((-1, 0, 1, 2**70, -(2**70) + 1)), []))
-        expected = None
-        if all(abs(inf) < 4 for inf, _ in keys):
-            letters = [k for inf, fs in keys for k in factors_word(d, inf, fs)]
-            expected = ref_normal_form(d, letters) if d > 1 else (0, ())
-        cases.append((d, keys, expected))
+        cases.append((d, keys, ref_product(d, keys)))
     return cases
+
+
+def test_product_reference_matches_spelled_words(multi_key_cases):
+    # one_key and ref_comb against the word reference, on the small cases
+    # whose product can be spelled out as a word
+    checked = 0
+    for d, keys, expected in multi_key_cases:
+        if d <= 4 and all(abs(inf) < 4 for inf, _ in keys):
+            letters = [k for inf, fs in keys for k in factors_word(d, inf, fs)]
+            assert expected == (ref_normal_form(d, letters) if d > 1 else (0, ())), (d, keys)
+            checked += 1
+    assert checked >= 50
 
 
 def test_multi_key_product(kernel, multi_key_cases):
     # sigma_1 Delta = Delta sigma_2
-    assert kernel.normal_form_factors(3, [(0, [(1, 0, 2)]), (1, [])]) == (1, ((0, 2, 1),))
+    assert kernel.product(3, [(0, [(1, 0, 2)]), (1, [])]) == (1, ((0, 2, 1),))
     for d, keys, expected in multi_key_cases:
-        got = kernel.normal_form_factors(d, keys)
-        assert got == kernel.normal_form_factors(d, [one_key(keys)]), (d, keys)
-        assert kernel.product(d, keys) == got, (d, keys)
-        if expected is not None:
-            assert got == expected, (d, keys)
+        got = kernel.product(d, keys)
+        assert got == expected, (d, keys)
+        assert kernel.product(d, [one_key(keys)]) == got, (d, keys)
 
 
 @pytest.mark.parametrize(
@@ -556,11 +573,13 @@ def test_multi_key_product(kernel, multi_key_cases):
         ((0, [(1.0, 0, 2), (0, 1)]), ValueError),  # every length before any image
     ],
 )
+@checking_kernel
 def test_malformed_key_raises(kernel, key, error):
     with pytest.raises(error):
-        kernel.normal_form_factors(3, [(1, [(1, 0, 2)]), key])
+        kernel.product(3, [(1, [(1, 0, 2)]), key])
 
 
+@checking_kernel
 def test_letter_out_of_range_raises(kernel):
     for letter in (0, 3, -3, 2**70, -(2**70)):
         with pytest.raises(ValueError):
@@ -569,9 +588,10 @@ def test_letter_out_of_range_raises(kernel):
         kernel.normal_form(0, [])
 
 
+@checking_kernel
 def test_letters_must_be_ints(kernel):
-    # letters go through operator.index before the range check, as images
-    # do: a float or a string is a TypeError, a bool counts as its int
+    # letters are read through __index__ before the range check, as images
+    # are: a float or a string is a TypeError, a bool counts as its int
     for letter in (3.5, 1.0, "1"):
         with pytest.raises(TypeError):
             kernel.normal_form(3, [1, letter])
@@ -579,6 +599,16 @@ def test_letters_must_be_ints(kernel):
     for letter in (False, 2**70, -(2**70)):
         with pytest.raises(ValueError):
             kernel.normal_form(3, [letter])
+
+
+def test_each_kernel_has_two_entries(kernel):
+    # normal_form and product, besides the name; imports do not count
+    public = {
+        name
+        for name, value in vars(kernel).items()
+        if not name.startswith("_") and (not callable(value) or value.__module__ == kernel.__name__)
+    }
+    assert public == {"IMPL_NAME", "normal_form", "product"}
 
 
 def test_pure_compiled_parity(compiled):
@@ -596,8 +626,8 @@ def test_pure_compiled_factor_parity(compiled):
         d = rng.randint(1, 8)
         factors = random_factors(rng, d)
         inf = rng.randint(-5, 5)
-        got = compiled.normal_form_factors(d, [(inf, factors)])
-        assert got == garside_py.normal_form_factors(d, [(inf, factors)]), (d, inf, factors)
+        got = compiled.product(d, [(inf, factors)])
+        assert got == garside_py.product(d, [(inf, factors)]), (d, inf, factors)
 
 
 def test_c_source_compiles_warning_free(tmp_path):
