@@ -146,15 +146,11 @@ def identity_word(d: int) -> BraidWord:
 
 def full_twist(d: int) -> BraidWord:
     """The central element (X_1 ... X_{d-1})^d, a word of length d(d-1)."""
-    if d < 1:
-        raise ValueError("strand count must be >= 1")
     return BraidWord(d, tuple(range(1, d)) * d)
 
 
 def half_twist(d: int) -> BraidWord:
     """The half twist D = (X_1)(X_2 X_1) ... (X_{d-1} ... X_1)."""
-    if d < 1:
-        raise ValueError("strand count must be >= 1")
     letters = []
     for i in range(1, d):
         letters.extend(range(i, 0, -1))

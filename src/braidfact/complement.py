@@ -62,12 +62,14 @@ class FinitePresentation:
 
     Relators that reduce to the empty word impose nothing and are dropped,
     which keeps the text format unambiguous (one nonempty line per relator).
+    ngens is stored as an int through operator.index, as in BraidWord.
     """
 
     ngens: int
     relators: tuple[FreeWord, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "ngens", index(self.ngens))
         if self.ngens < 0:
             raise ValueError("generator count must be >= 0")
         object.__setattr__(self, "relators", tuple(r for r in self.relators if r.letters))

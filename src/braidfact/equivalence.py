@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from operator import index
 
 from .braid import (
     BraidWord,
@@ -99,17 +100,30 @@ def _fingerprint(F: Factorization, factor_keys, conjugacy_budget: int = 0) -> Fi
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds for the orbit search; every bound must be positive.
+    """Bounds for the orbit search, checked when the budget is built.
 
     max_states caps both the orbit states and the conjugators tried.
     max_factor_nf_length bounds the canonical length (number of permutation
     braid factors in the normal form) of any single factor in an explored
     state; None derives 2 * (largest input factor canonical length, min 1).
+    Each bound is stored as an int through operator.index (a float is a
+    TypeError, a bool counts as its int) and must be positive (a
+    ValueError naming the field).
     """
 
     max_states: int = 2000
     max_factor_nf_length: int | None = None
     conjugator_length_bound: int = 3
+
+    def __post_init__(self) -> None:
+        for name in ("max_states", "max_factor_nf_length", "conjugator_length_bound"):
+            value = getattr(self, name)
+            if value is None and name == "max_factor_nf_length":
+                continue
+            value = index(value)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -121,14 +135,6 @@ class EquivalenceVerdict:
     values: tuple[str, str] | None = None
     states: int = 0
     orbit_complete: bool = False
-
-
-def _nf_bound(bound: int | None, *keys) -> int:
-    """bound, or by default 2 * (largest factor canonical length in the
-    canonical keys, min 1)."""
-    if bound is not None:
-        return bound
-    return 2 * max([len(pair[1]) for key in keys for pair in key] + [1])
 
 
 def _interner():
@@ -248,19 +254,15 @@ def decide_equivalence(
     the same table, only when a state's first factor is that image; each
     product is formed at most once per decision.  The first braid in
     enumeration order that matches is the conjugator.  An "equivalent"
-    verdict is replayed and verified factor by factor.  Raises
-    ValidationError (a ValueError) for an input that does not validate, and
-    ValueError for differing strand counts or targets and for non-positive
-    budgets.
+    verdict is replayed and verified factor by factor.  The budget checked
+    itself when it was built.  Raises ValidationError (a ValueError) for an
+    input that does not validate, and ValueError for differing strand
+    counts or targets.
     """
     if F1.strands != F2.strands:
         raise ValueError("strand counts differ")
     if not equals(F1.target, F2.target):
         raise ValueError("targets differ")
-    if budget.max_states <= 0 or budget.conjugator_length_bound <= 0:
-        raise ValueError("budgets must be positive")
-    if budget.max_factor_nf_length is not None and budget.max_factor_nf_length <= 0:
-        raise ValueError("budgets must be positive")
 
     f1, f2 = (_validated_key(F) for F in (F1, F2))
     for field, v1, v2 in _fingerprint_fields(_fingerprint(F1, f1), _fingerprint(F2, f2)):
@@ -306,7 +308,9 @@ def decide_equivalence(
         return None
 
     states = 0
-    nf_bound = _nf_bound(budget.max_factor_nf_length, f1, f2)
+    nf_bound = budget.max_factor_nf_length
+    if nf_bound is None:
+        nf_bound = 2 * max([len(pair[1]) for key in (f1, f2) for pair in key] + [1])
     for state, path in _orbit(d, f1, nf_bound, budget.max_states, keys, intern):
         states += 1
         letters = conjugator_to(state)
@@ -318,24 +322,6 @@ def decide_equivalence(
     return EquivalenceVerdict(
         "inconclusive", states=states, orbit_complete=states < budget.max_states
     )
-
-
-def explore_orbit(
-    F: Factorization, max_states: int, max_factor_nf_length: int | None = None
-):
-    """At most max_states canonical keys of the bounded Hurwitz-move orbit
-    of F, and whether they are the whole bounded orbit.  Raises ValueError
-    for a non-positive max_states or max_factor_nf_length."""
-    if max_states <= 0:
-        raise ValueError("max_states must be positive")
-    if max_factor_nf_length is not None and max_factor_nf_length <= 0:
-        raise ValueError("max_factor_nf_length must be positive")
-    start = canonical_key(F)
-    nf_bound = _nf_bound(max_factor_nf_length, start)
-    keys, intern = _interner()
-    states = _orbit(F.strands, start, nf_bound, max_states, keys, intern)
-    found = frozenset(tuple(keys[f] for f in state) for state, _ in states)
-    return found, len(found) < max_states
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 
 from .braid import (
     MAX_STRANDS,
@@ -36,21 +37,30 @@ VALID_S = (1, 2, 3)
 
 @dataclass(frozen=True)
 class CuspidalFactor:
+    """rho^-1 X_1^s rho; s is stored as an int through operator.index (a
+    float is a TypeError, a bool counts as its int) and must be in VALID_S."""
+
     rho: BraidWord
     s: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s", index(self.s))
         if self.s not in VALID_S:
             raise ValueError(f"s must be one of {VALID_S}, got {self.s}")
 
 
 @dataclass(frozen=True)
 class Factorization:
+    """Factors of one kind whose product should equal target (by default
+    the full twist); strands is stored as an int through operator.index,
+    as in BraidWord."""
+
     strands: int
     factors: tuple
     target: BraidWord | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "strands", index(self.strands))
         object.__setattr__(self, "factors", tuple(self.factors))
         if self.target is None:
             object.__setattr__(self, "target", full_twist(self.strands))
@@ -428,8 +438,6 @@ def parse_factorization(text: str) -> Factorization:
                     s = int(head[len("s=") :])
                 except ValueError:
                     raise FormatError(f"bad s value in {ln!r}") from None
-                if s not in VALID_S:
-                    raise FormatError(f"s={s} out of range {VALID_S}")
                 factors.append(CuspidalFactor(parse_word(rho_part, d), s))
             else:
                 raise FormatError(f"bad factor line {ln!r}")

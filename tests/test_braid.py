@@ -93,6 +93,9 @@ def test_word_construction_checks():
         BraidWord(3, (0,))
     with pytest.raises(ValueError):
         BraidWord(0, ())
+    for twist in (full_twist, half_twist):  # their BraidWord checks the strand count
+        with pytest.raises(ValueError, match="strand count"):
+            twist(0)
     with pytest.raises(ValueError):
         compose(BraidWord(3, (1,)), BraidWord(4, (1,)))
 
@@ -505,6 +508,8 @@ def test_conjugacy_input_checks():
         conjugacy_test(BraidWord(3, (1,)), BraidWord(4, (1,)), 100)
     with pytest.raises(ValueError):
         conjugacy_test(BraidWord(3, (1,)), BraidWord(3, (1,)), 0)
+    with pytest.raises(ValueError, match="budget"):
+        summit_key(3, nf_key(BraidWord(3, (1,))), 0)
 
 
 def pair_algebra_words(rng, d):

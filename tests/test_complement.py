@@ -87,6 +87,18 @@ def test_free_word_letters_are_ints():
     assert w.letters == (1,) and type(w.letters[0]) is int
 
 
+def test_presentation_generator_count_is_an_int():
+    # ngens goes through operator.index, as a FreeWord's letters do
+    for ngens in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            FinitePresentation(ngens, ())
+    P = FinitePresentation(True, (FreeWord((1, 1)),))
+    assert P.ngens == 1 and type(P.ngens) is int
+    assert parse_presentation(format_presentation(P)) == P
+    with pytest.raises(ValueError):
+        FinitePresentation(-1, ())
+
+
 def test_cyclic_reduction():
     cases = {
         (): (),
@@ -117,6 +129,8 @@ def test_artin_action_generator_rules():
     assert artin_action(s1inv, x2).letters == (-2, 1, 2)
     # inverse letters of the free word map to inverse images
     assert artin_action(s1, x1.inverse()).letters == (1, -2, -1)
+    with pytest.raises(ValueError, match="strand count"):
+        artin_action(s1, FreeWord((4,)))
 
 
 def test_artin_action_is_an_action():
@@ -238,6 +252,12 @@ def test_simplify_cubic_witness():
     P = simplify(zvk_presentation(CUBIC))
     assert P.ngens == 1
     assert [r.letters for r in P.relators] == [(1, 1, 1)]
+
+
+def test_simplify_rejects_a_nonpositive_budget():
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="budget"):
+            simplify(TREFOIL, budget)
 
 
 def test_simplify_preserves_hom_counts():

@@ -16,7 +16,6 @@ from braidfact.equivalence import (
     SearchBudget,
     canonical_key,
     decide_equivalence,
-    explore_orbit,
     fingerprint,
     format_verdict,
     parse_verdict,
@@ -95,14 +94,27 @@ def test_canonical_key_word_exactness():
     assert canonical_key(moved) != k1  # different factor tuple, same class
 
 
+def orbit_keys(F, max_states, max_factor_nf_length=None):
+    """At most max_states canonical keys of the bounded Hurwitz-move orbit
+    of F, as equivalence._orbit walks it, and whether they are the whole
+    bounded orbit.  The nf bound defaults as in decide_equivalence on
+    (F, F)."""
+    start = canonical_key(F)
+    nf_bound = max_factor_nf_length or 2 * max([len(pair[1]) for pair in start] + [1])
+    keys, intern = equivalence._interner()
+    states = equivalence._orbit(F.strands, start, nf_bound, max_states, keys, intern)
+    found = frozenset(tuple(keys[f] for f in state) for state, _ in states)
+    return found, len(found) < max_states
+
+
 def test_orbit_of_conic_is_a_fixed_point():
-    keys, complete = explore_orbit(CONIC, max_states=1000)
+    keys, complete = orbit_keys(CONIC, max_states=1000)
     assert complete and len(keys) == 1
 
 
 def test_orbit_caps_states_exactly():
     for m in (2, 5):
-        keys, complete = explore_orbit(CUBIC, max_states=m)
+        keys, complete = orbit_keys(CUBIC, max_states=m)
         assert len(keys) <= m and complete is False
 
 
@@ -144,8 +156,8 @@ def test_orbit_matches_reference_search():
     for F, cap, nf_bound in cases:
         bound = nf_bound or 2 * max(len(pair[1]) for pair in canonical_key(F))
         want = reference_orbit(F, bound, cap)
-        assert explore_orbit(F, cap, nf_bound) == want, (F, cap, nf_bound)
-    assert reference_orbit(CUBIC, 4, 200) == (explore_orbit(CUBIC, 2000, 4)[0], True)
+        assert orbit_keys(F, cap, nf_bound) == want, (F, cap, nf_bound)
+    assert reference_orbit(CUBIC, 4, 200) == (orbit_keys(CUBIC, 2000, 4)[0], True)
 
 
 def test_orbit_with_the_start_over_the_bound_matches_reference():
@@ -159,7 +171,7 @@ def test_orbit_with_the_start_over_the_bound_matches_reference():
             conjugate_all(hurwitz_move(F, 1, "left"), BraidWord(F.strands, (1,))),
         )
         for cap in (5, 50, 300):
-            assert explore_orbit(F, cap, nf_bound) == reference_orbit(F, nf_bound, cap)
+            assert orbit_keys(F, cap, nf_bound) == reference_orbit(F, nf_bound, cap)
             budget = SearchBudget(max_states=cap, max_factor_nf_length=nf_bound)
             for F2 in others:
                 v = decide_equivalence(F, F2, budget)
@@ -167,9 +179,13 @@ def test_orbit_with_the_start_over_the_bound_matches_reference():
 
 
 def test_orbit_rejects_a_nonpositive_nf_bound():
+    # the budget checks its nf bound when it is built
     for bound in (0, -3):
-        with pytest.raises(ValueError):
-            explore_orbit(CUBIC, 10, bound)
+        with pytest.raises(ValueError, match="max_factor_nf_length"):
+            SearchBudget(max_factor_nf_length=bound)
+    with pytest.raises(TypeError):
+        SearchBudget(max_factor_nf_length=2.5)
+    assert SearchBudget(max_factor_nf_length=None).max_factor_nf_length is None
 
 
 def test_decide_validates_each_input_once(monkeypatch):
@@ -196,7 +212,7 @@ def test_keyed_paths_build_no_factor_words(monkeypatch):
             monkeypatch.setattr(module, name, word_path, raising=False)
     assert validate(QUARTIC).ok
     assert fingerprint(QUARTIC, conjugacy_budget=500) == fingerprint(F2, conjugacy_budget=500)
-    assert explore_orbit(CUBIC, 50)[0]
+    assert orbit_keys(CUBIC, 50)[0]
     # one state, and F2 is not F1 conjugated, so no verdict is replayed
     assert decide_equivalence(QUARTIC, F2, SearchBudget(max_states=1)).outcome == "inconclusive"
 
@@ -361,8 +377,17 @@ def test_decide_zero_factor_file(capsys, tmp_path):
 
 
 def test_orbit_budget_checks():
-    with pytest.raises(ValueError):
-        explore_orbit(CONIC, max_states=0)
+    # each bound goes through operator.index and must be positive
+    for name in ("max_states", "conjugator_length_bound"):
+        for value in (0, -3):
+            with pytest.raises(ValueError, match=name):
+                SearchBudget(**{name: value})
+        for value in (2.5, 3.0, "3", None):
+            with pytest.raises(TypeError):
+                SearchBudget(**{name: value})
+    budget = SearchBudget(max_states=True, max_factor_nf_length=True, conjugator_length_bound=True)
+    assert budget == SearchBudget(1, 1, 1)
+    assert all(type(v) is int for v in vars(budget).values())
 
 
 def test_decide_identical():
@@ -413,7 +438,7 @@ def test_orbit_complete_only_when_fewer_states_than_the_cap():
     # the bounded orbit of CUBIC has 176 states; the orbit counts as complete
     # only when the search drew fewer than max_states of them
     F2 = conjugate_all(CUBIC, BraidWord(3, (1,) * 5 + (2,) * 4))
-    orbit, complete = explore_orbit(CUBIC, 5000, 4)
+    orbit, complete = orbit_keys(CUBIC, 5000, 4)
     assert (len(orbit), complete) == (176, True)
     for max_states, states, orbit_complete in ((5000, 176, True), (177, 176, True), (176, 176, False)):
         budget = SearchBudget(max_states=max_states, max_factor_nf_length=4, conjugator_length_bound=1)

@@ -135,6 +135,12 @@ def test_singularity_counts_none_for_plain_words():
 def test_factorization_input_checks():
     with pytest.raises(ValueError):
         Factorization(3, (CuspidalFactor(BraidWord(2, (1,)), 1),), full_twist(3))
+    with pytest.raises(ValueError, match="target strand count"):
+        Factorization(3, (), full_twist(2))
+    with pytest.raises(ValueError, match="CuspidalFactor or BraidWord"):
+        Factorization(2, ((1,),))
+    with pytest.raises(ValueError, match="cannot mix"):
+        Factorization(2, (CuspidalFactor(BraidWord(2, ()), 1), BraidWord(2, (1,))))
     with pytest.raises(ValueError):
         CuspidalFactor(BraidWord(3, ()), 4)
     with pytest.raises(IndexError):
@@ -143,6 +149,29 @@ def test_factorization_input_checks():
         hurwitz_move(CONIC, 1, "up")
     with pytest.raises(ValueError):
         conjugate_all(CONIC, BraidWord(3, (1,)))
+
+
+def test_cuspidal_factor_s_is_an_int():
+    # s goes through operator.index, as a BraidWord's letters do: a float
+    # is a TypeError, even one equal to an int; a bool is stored as its int
+    rho = BraidWord(3, (1, -2))
+    for s in (2.0, 2.5, "2"):
+        with pytest.raises(TypeError):
+            CuspidalFactor(rho, s)
+    f = CuspidalFactor(rho, True)
+    assert f == CuspidalFactor(rho, 1) and type(f.s) is int
+    F = Factorization(3, (f, CuspidalFactor(rho, 2)))
+    text = format_factorization(F)
+    assert "factor s=1 rho=" in text and parse_factorization(text) == F
+
+
+def test_factorization_strand_count_is_an_int():
+    # strands goes through operator.index, as a BraidWord's does
+    with pytest.raises(TypeError):
+        Factorization(3.0, (BraidWord(3, (1,)),), full_twist(3))
+    F = Factorization(True, ())
+    assert F.strands == 1 and type(F.strands) is int
+    assert validate(F).ok and parse_factorization(format_factorization(F)) == F
 
 
 def test_cuspidal_factors_need_two_strands():

@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "enumerate_braids",
     "enumerate_homs",
     "equals",
-    "explore_orbit",
     "exponent_sum",
     "factor_words",
     "fingerprint",
