@@ -1,8 +1,12 @@
 """Kernel selection: compiled Garside normal-form core with pure fallback.
 
 Each kernel has two entries, normal_form(d, letters) and product(d, keys).
-The pure kernel checks nothing, and the compiled one checks everything:
-the package checks its input once, where it enters (see braidfact.braid).
+Every key of product is a left normal form (inf, factors): no identity or
+half-twist factor, every adjacent pair left-weighted, as either entry
+returns it, a slice of that, (0, (p,)) or (n, ()); product combs only the
+seams between keys.  The pure kernel checks nothing, and the compiled one
+checks everything, keys included: the package checks its input once,
+where it enters (see braidfact.braid).
 
 Set BRAIDFACT_PURE=1 to force the pure-Python implementation even when the
 compiled extension is available.

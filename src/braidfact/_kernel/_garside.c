@@ -3,13 +3,16 @@
  * Same conventions as braidfact._kernel.garside_py, written directly
  * against the CPython API: normal_form(d, letters) folds the word into
  * runs of letters that stay one permutation braid, and product(d, keys)
- * multiplies normal-form keys (inf, factors) left to right; both entries
- * share one Delta shift and one comb.  The pure kernel checks nothing;
- * this one checks everything, because a bad letter or image would index
- * out of bounds here: the strand count and every letter, key and image
- * are validated (TypeError for a non-integer, ValueError for a value out
- * of range).  tests/test_kernel.py holds both entries to the pure twin and to
- * a brute-force reference.  setup.py builds it as an optional extension.
+ * multiplies left normal forms (inf, factors) left to right, combing only
+ * the seams between keys; both entries share one Delta shift and one comb.
+ * The pure kernel checks nothing; this one checks everything, because a
+ * bad letter or image would index out of bounds here and a key that is not
+ * a normal form would be appended uncombed: the strand count and every
+ * letter, key and image are validated (TypeError for a non-integer,
+ * ValueError for a value out of range, for an identity or Delta factor, or
+ * for a pair in a key that is not left-weighted).  tests/test_kernel.py
+ * holds both entries to the pure twin and to a brute-force reference.
+ * setup.py builds it as an optional extension.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -59,6 +62,20 @@ is_w0(const int *p, int d)
 {
     for (int x = 0; x < d; x++)
         if (p[x] != d - 1 - x)
+            return 0;
+    return 1;
+}
+
+/* Whether the pair (a, b) is left-weighted: every crossing i that starts b
+ * (b[i] > b[i + 1]) finishes a (ai[i] > ai[i + 1]); ai is scratch for a's
+ * inverse. */
+static int
+left_weighted(const int *a, const int *b, int *ai, int d)
+{
+    for (int x = 0; x < d; x++)
+        ai[a[x]] = x;
+    for (int i = 0; i + 1 < d; i++)
+        if (b[i] > b[i + 1] && ai[i] < ai[i + 1])
             return 0;
     return 1;
 }
@@ -113,13 +130,18 @@ alloc_ints(Py_ssize_t n, int d)
 }
 
 /* Left normal form of Delta^inf * raw_0 * ... * raw_(n-1) as (inf, factors);
- * raw holds n permutation braids of d ints each and is overwritten. */
+ * raw holds n permutation braids of d ints each and is overwritten.  first
+ * marks the factors that open a block, NULL meaning every factor.  After a
+ * block's first factor that appends unchanged, the rest of the block must
+ * be a left normal form's tail: no identity or Delta, every pair
+ * left-weighted, the first with that factor. */
 static PyObject *
-comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
+comb(int d, PyObject *inf, int *raw, Py_ssize_t n, const char *first)
 {
     int *fac = raw;
     int *inv = alloc_ints(n, d);
     Py_ssize_t k = 0, m, folds = 0;
+    int fits = 0;  /* a factor of the current block appended unchanged */
     PyObject *out, *folds_obj, *total, *result;
 
     if (inv == NULL)
@@ -127,30 +149,39 @@ comb(int d, PyObject *inf, int *raw, Py_ssize_t n)
 
     /* Append factors one at a time, combing backwards after each append
      * (one pass suffices by the domino rule; see garside_py._comb); the
-     * kept factors are compacted to the front of raw.  A half twist at
+     * kept factors are compacted to the front of raw.  Once a factor of a
+     * block appends unchanged, the rest of the block is appended as it
+     * stands, so only the seams between blocks are combed.  A half twist at
      * slot m, appended or formed by a pair step, is folded into the Delta
      * power at once: it is dropped, the m factors before it become tau(x),
      * and the comb of this append stops (see garside_py._comb for why that
      * is the form the slides give). */
     for (Py_ssize_t j = 0; j < n; j++) {
-        int *p = raw + j * d;
-        if (is_identity(p, d))
+        int *p = raw + j * d, changed = 0;
+        if (first == NULL || first[j])
+            fits = 0;
+        if (!fits && is_identity(p, d))
             continue;
         if (k < j)
             memcpy(fac + k * d, p, (size_t)d * sizeof(int));
         for (int x = 0; x < d; x++)
             inv[k * d + fac[k * d + x]] = x;
         k++;
+        if (fits)
+            continue;
         for (m = k - 1; m > 0 && !is_w0(fac + m * d, d); m--) {
             if (!fix_pair(fac + (m - 1) * d, inv + (m - 1) * d,
                           fac + m * d, inv + m * d, d))
                 break;
+            changed = 1;
             if (is_identity(fac + m * d, d)) {
                 drop(fac, inv, m, k, d);
                 k--;
             }
         }
+        fits = !changed;
         if (is_w0(fac + m * d, d)) {
+            fits = 0;
             drop(fac, inv, m, k, d);
             k--;
             for (Py_ssize_t r = 0; r < m; r++) {
@@ -274,7 +305,7 @@ normal_form(PyObject *Py_UNUSED(self), PyObject *args)
     shift(raw, negative, m, 0, d);
     inf = PyLong_FromLong(dp);
     if (inf != NULL) {
-        result = comb(d, inf, raw, m);
+        result = comb(d, inf, raw, m, NULL);
         Py_DECREF(inf);
     }
 
@@ -289,18 +320,19 @@ done:
 PyDoc_STRVAR(product_doc,
 "product(d, keys)\n--\n\n"
 "Left normal form of the product of keys (inf, factors), left to right,\n"
-"each (inf, factors) the braid Delta^inf * F_1 * ... * F_n, each F_i a\n"
-"permutation braid given by its images of range(d) (the identity and\n"
-"Delta allowed).");
+"each (inf, factors) the left normal form Delta^inf * F_1 * ... * F_n:\n"
+"each F_i a permutation braid given by its images of range(d), none the\n"
+"identity or Delta, and every adjacent pair left-weighted.  Each key is\n"
+"combed in only at its seam with the product so far.");
 
 static PyObject *
 product(PyObject *Py_UNUSED(self), PyObject *args)
 {
     int d, pending = 0;
-    PyObject *keys, *it, *key, *rows = NULL, *odds = NULL, *total, *result = NULL;
+    PyObject *keys, *it, *key, *rows = NULL, *flags = NULL, *total, *result = NULL;
     Py_ssize_t n;
-    int *raw = NULL;
-    char *odd = NULL, *seen = NULL;
+    int *raw = NULL, *ai = NULL;
+    char *odd = NULL, *first = NULL, *seen = NULL;
 
     if (!PyArg_ParseTuple(args, "iO:product", &d, &keys))
         return NULL;
@@ -313,17 +345,19 @@ product(PyObject *Py_UNUSED(self), PyObject *args)
         return NULL;
     total = PyLong_FromLong(0);
     rows = PyList_New(0);
-    odds = PyList_New(0);
-    if (total == NULL || rows == NULL || odds == NULL)
+    flags = PyList_New(0);
+    if (total == NULL || rows == NULL || flags == NULL)
         goto done;
 
     /* Every factor becomes a tuple of length d before anything of size
      * n * d is allocated.  Each key's inf is summed whole, and its parity
      * is carried by the key's first factor, or by the next key's if it has
-     * none; pending holds the parity not yet carried. */
+     * none; pending holds the parity not yet carried.  A factor's flags
+     * hold that parity (bit 0) and whether it opens its key (bit 1). */
     while ((key = PyIter_Next(it)) != NULL) {
         PyObject *pair = PySequence_Fast(key, "key is not an (inf, factors) pair");
         PyObject *inf, *sum, *fit, *f;
+        int opens = 2;
         Py_DECREF(key);
         if (pair == NULL)
             goto done;
@@ -357,15 +391,18 @@ product(PyObject *Py_UNUSED(self), PyObject *args)
                 bad = 1;
             }
             Py_DECREF(f);
-            if (!bad)
-                bad = PyList_Append(rows, t) < 0
-                      || PyList_Append(odds, pending ? Py_True : Py_False) < 0;
+            if (!bad) {
+                PyObject *flag = PyLong_FromLong(pending | opens);
+                bad = flag == NULL || PyList_Append(rows, t) < 0
+                      || PyList_Append(flags, flag) < 0;
+                Py_XDECREF(flag);
+            }
             Py_XDECREF(t);
             if (bad) {
                 Py_DECREF(fit);
                 goto done;
             }
-            pending = 0;
+            pending = opens = 0;
         }
         Py_DECREF(fit);
         if (PyErr_Occurred())
@@ -376,15 +413,21 @@ product(PyObject *Py_UNUSED(self), PyObject *args)
     n = PyList_GET_SIZE(rows);
 
     raw = alloc_ints(n, d);
+    ai = alloc_ints(1, d);
     odd = PyMem_Malloc((size_t)(n > 0 ? n : 1));
+    first = PyMem_Malloc((size_t)(n > 0 ? n : 1));
     seen = PyMem_Malloc((size_t)d);
-    if (raw == NULL || odd == NULL || seen == NULL) {
+    if (raw == NULL || ai == NULL || odd == NULL || first == NULL || seen == NULL) {
         PyErr_NoMemory();
         goto done;
     }
+    /* Each factor is a permutation, neither the identity nor Delta, and
+     * left-weighted after the factor before it in its key. */
     for (Py_ssize_t j = 0; j < n; j++) {
         PyObject *t = PyList_GET_ITEM(rows, j);
-        odd[j] = PyList_GET_ITEM(odds, j) == Py_True;
+        long flag = PyLong_AsLong(PyList_GET_ITEM(flags, j));
+        odd[j] = flag & 1;
+        first[j] = flag >> 1;
         memset(seen, 0, (size_t)d);
         for (int x = 0; x < d; x++) {
             int overflow;
@@ -399,21 +442,33 @@ product(PyObject *Py_UNUSED(self), PyObject *args)
             seen[v] = 1;
             raw[j * d + x] = (int)v;
         }
+        if (is_identity(raw + j * d, d) || is_w0(raw + j * d, d)) {
+            PyErr_Format(PyExc_ValueError,
+                         "factor %R is the identity or the half twist", t);
+            goto done;
+        }
+        if (!first[j] && !left_weighted(raw + (j - 1) * d, raw + j * d, ai, d)) {
+            PyErr_Format(PyExc_ValueError, "factors %R, %R are not left-weighted",
+                         PyList_GET_ITEM(rows, j - 1), t);
+            goto done;
+        }
     }
 
     if (d == 1)  /* the half twist of B_1 is the identity */
         result = Py_BuildValue("(i())", 0);
     else {
         shift(raw, odd, n, pending, d);
-        result = comb(d, total, raw, n);
+        result = comb(d, total, raw, n, first);
     }
 
 done:
     PyMem_Free(raw);
+    PyMem_Free(ai);
     PyMem_Free(odd);
+    PyMem_Free(first);
     PyMem_Free(seen);
     Py_XDECREF(rows);
-    Py_XDECREF(odds);
+    Py_XDECREF(flags);
     Py_XDECREF(total);
     Py_DECREF(it);
     return result;

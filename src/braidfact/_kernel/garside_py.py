@@ -21,11 +21,13 @@ The kernel's entries share one shift and one comb.  normal_form
 takes a signed letter word and folds it into runs, each one permutation
 braid: a letter joins the current run while it adds a crossing (sigma_i)
 or cancels one (sigma_i^-1), else it opens the next run, with a Delta^-1
-before it if the letter is inverse.  product takes normal-form keys
-(inf, factors), each inf before the key's first factor, so a product of
-normal forms is combed only where its factors do not already fit (the
+before it if the letter is inverse; each run is combed in on its own.
+product takes left normal forms (inf, factors), each inf before the key's
+first factor.  A key's factors are combed in only until one appends
+unchanged; its own pairs are left-weighted, so the rest of it goes on as
+a block, and a product of normal forms is combed only at its seams (the
 right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9).  _shift moves every Delta power to the front.
+ch. 9).  _shift moves every Delta power to the front first.
 
 The comb slides crossings from the front of a factor to the back of its
 left neighbour until every pair is left-weighted: one insertion pass per
@@ -48,9 +50,10 @@ of their steps.
 
 This kernel checks nothing; _garside.c checks everything.  Its input must
 keep the contract: d >= 1, every letter an int with 1 <= |k| <= d-1, every
-factor an int tuple of a permutation of range(d).  The package keeps it by
-checking once, where input enters: BraidWord checks the strand count and
-every letter, and every key product gets is built from kernel output.
+key of product a left normal form whose factors are int tuples of
+permutations of range(d).  The package keeps it by checking once, where
+input enters: BraidWord checks the strand count and every letter, and
+every key product gets is built from kernel output.
 Input that breaks the contract gives a wrong answer or an arbitrary error,
 and can leave a wrong pair in the memos.
 
@@ -127,53 +130,74 @@ def _tau(p):
     return tuple([d - 1 - v for v in reversed(p)])
 
 
-def _shift(raw, powers, trailing):
+def _tau_block(block):
+    """tau of each factor of a block."""
+    return tuple(map(_tau, block))
+
+
+def _shift(raw, powers, trailing, tau):
     """Move the powers of D^powers[0] raw[0] D^powers[1] raw[1] ... D^trailing
-    to the front: a factor passing D^n becomes tau^n of itself.  Returns the sum."""
+    to the front: an item passing D^n becomes tau^n of itself, an item being
+    a factor (tau is _tau) or a block of factors (_tau_block).  Returns the
+    sum."""
     dp = trailing
     for j in range(len(raw) - 1, -1, -1):
         if dp & 1:
-            raw[j] = _tau(raw[j])
+            raw[j] = tau(raw[j])
         dp += powers[j]
     return dp
 
 
-def _comb(d, inf, raw):
-    """Left normal form of D^inf * raw[0] * raw[1] * ..., raw a list of
-    permutation braids as int tuples."""
+def _comb(d, inf, blocks, normal):
+    """Left normal form of D^inf times the factors of blocks, in order, each
+    block an iterable of permutation braids as int tuples.  With normal,
+    each block is a left normal form's factors: no identity or half twist,
+    every pair left-weighted.  Without it every factor is combed in."""
     identity, w0 = _constants(d)
 
     # Append factors one at a time, combing backwards after each append.
     # Appending a permutation braid to a left normal form and making the
     # pairs left-weighted from right to left gives the left normal form of
     # the product (the domino rule of greedy normal forms), so no second
-    # pass is needed; a factor can only be absorbed at the tail.
+    # pass is needed; a factor can only be absorbed at the tail.  A factor
+    # whose first pair is already left-weighted appends unchanged and
+    # leaves a left normal form, so with normal blocks the rest of its
+    # block goes on as it stands, uncombed: only the seams are combed.
+    # normal_form's runs are not left-weighted among themselves, so it
+    # passes them as one block that is not normal.
     #
     # a is the factor at slot j.  A half twist there folds at once:
     # x_0..x_(j-1) Delta = Delta tau(x_0)..tau(x_(j-1)), tau is an
     # automorphism, and by the domino rule the new seam (tau(x_(j-1)),
     # x_(j+1)) is left-weighted, so the result is the one the slides give.
     factors = []
-    for a in raw:
-        if a == identity:
-            continue
-        j = len(factors)
-        factors.append(a)
-        while j and a != w0:
-            pair = _fix_pair(factors[j - 1], a)
-            if pair is None:
-                break
-            a, b = pair
-            if b == identity:
+    for block in blocks:
+        rest = iter(block)
+        for a in rest:
+            if a == identity:
+                continue
+            j = len(factors)
+            factors.append(a)
+            fits = normal
+            while j and a != w0:
+                pair = _fix_pair(factors[j - 1], a)
+                if pair is None:
+                    break
+                fits = False
+                a, b = pair
+                if b == identity:
+                    del factors[j]
+                else:
+                    factors[j] = b
+                j -= 1
+                factors[j] = a
+            if a == w0:
                 del factors[j]
-            else:
-                factors[j] = b
-            j -= 1
-            factors[j] = a
-        if a == w0:
-            del factors[j]
-            factors[:j] = map(_tau, factors[:j])
-            inf += 1
+                factors[:j] = map(_tau, factors[:j])
+                inf += 1
+            elif fits:
+                factors += rest
+                break
     return inf, tuple(factors)
 
 
@@ -213,27 +237,31 @@ def normal_form(d, letters):
         pi[i + 1] = x
 
     raw = list(map(tuple, raw))
-    return _comb(d, _shift(raw, dpows, 0), raw)
+    return _comb(d, _shift(raw, dpows, 0, _tau), (raw,), False)
 
 
 def product(d, keys):
     """Left normal form of the product of keys, left to right, unchecked.
 
-    Each key is a pair (inf, factors) for D^inf * F_1 * ... * F_n, each F_i
-    a permutation braid given as the int tuple of its permutation of
-    range(d); it may be the identity or the half twist.  Returns
-    (inf, factors) exactly as normal_form does.  Nothing is checked: a key
+    Each key is a left normal form (inf, factors) for D^inf * F_1 * ... *
+    F_n, each F_i a permutation braid given as the int tuple of its
+    permutation of range(d), none of them the identity or the half twist,
+    and every adjacent pair left-weighted: what normal_form and product
+    return, any slice of it, (0, (p,)) for one such p, or (n, ()).  Returns
+    (inf, factors) exactly as normal_form does.  Each key's factors are
+    combed in only up to the first that fits where it lands, so the product
+    is combed only at the seams between keys.  Nothing is checked: a key
     that breaks this contract gives a wrong answer or an arbitrary error.
     """
-    raw = []
+    blocks = []
     powers = []
-    power = 0  # carried by the next factor, or trailing if none follows
+    power = 0  # carried by the next key with factors, or trailing if none follows
     for inf, factors in keys:
         power += inf
-        for f in factors:
-            raw.append(f)
+        if factors:
+            blocks.append(factors)
             powers.append(power)
             power = 0
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity
-    return _comb(d, _shift(raw, powers, power), raw)
+    return _comb(d, _shift(blocks, powers, power, _tau_block), blocks, True)

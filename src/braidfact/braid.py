@@ -17,7 +17,8 @@ Conventions used throughout the package:
   these pairs and form products and inverses only with nf_mul and nf_inv:
   an inverse is exact and needs no kernel call, and a product hands the
   keys themselves to the kernel's product, which moves the half-twist
-  powers to the front and combs only where the factors do not already fit.
+  powers to the front and combs only the seams between keys: each key
+  must be a left normal form, with no identity or half-twist factor.
   The pure kernel checks nothing (the compiled one checks everything), so
   input is checked once, where it enters: BraidWord checks the strand count
   and every letter of a word, and every key handed to product is built
@@ -371,8 +372,11 @@ def enumerate_braids(d: int, max_len: int) -> tuple[BraidWord, ...]:
     Words are enumerated by length, then lexicographically by letter tuple
     (letters ordered as integers); each braid is represented by the first
     word that reaches it, so the result is sorted by that order and starts
-    with the empty word.  A negative max_len is a ValueError.
+    with the empty word.  max_len goes through operator.index: a float is
+    a TypeError, a bool counts as its int, and a negative one is a
+    ValueError.
     """
+    max_len = index(max_len)
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     return tuple(BraidWord(d, word) for _, word in _braids(d, max_len))
@@ -500,10 +504,12 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
     carries a witness z verified to satisfy nf_key(conjugate(u, z)) == nf_key(v);
     "not_conjugate" names a separating invariant or reports a completed
     super summit set of u without v's summit element; "unknown" means the
-    budget ran out first.
+    budget ran out first.  The budget goes through operator.index, as
+    summit_key's does.
     """
     if u.strands != v.strands:
         raise ValueError(f"strand mismatch: {u.strands} vs {v.strands}")
+    budget = index(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
     if exponent_sum(u) != exponent_sum(v):
@@ -540,7 +546,9 @@ def conjugacy_test(u: BraidWord, v: BraidWord, budget: int) -> ConjugacyResult:
 def summit_key(d: int, key, budget: int):
     """A conjugacy-invariant key of the braid in B_d with nf_key key: the least
     nf_key in its super summit set, or None if the budget is exhausted before
-    the set is closed."""
+    the set is closed.  The budget goes through operator.index: a float is a
+    TypeError, a bool counts as its int, and one below 1 a ValueError."""
+    budget = index(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
     wb = WorkBudget(budget)

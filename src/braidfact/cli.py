@@ -301,12 +301,105 @@ def _cmd_invariants(args) -> int:
 # parser
 
 
-@cache  # one parser per process: main is called many times in one process
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    """One add_argument call of a subcommand, as (flags, options)."""
+    return flags, options
+
+
+# name: (handler, help, arguments); the full parser adds them in this order
+_SUBCOMMANDS = {
+    "nf": (_cmd_nf, "left-greedy normal form of a braid word", (
+        _arg("strands", type=_strands),
+        _arg("word", help='braid word, e.g. "1 2 -1"'),
+    )),
+    "eq": (_cmd_eq, "decide equality of two braid words", (
+        _arg("strands", type=_strands),
+        _arg("word1"),
+        _arg("word2"),
+    )),
+    "fulltwist": (_cmd_fulltwist, "the full-twist word on d strands", (
+        _arg("strands", type=_strands),
+    )),
+    "validate": (_cmd_validate, "check a factorization file against its target", (
+        _arg("file"),
+    )),
+    "move": (_cmd_move, "apply one Hurwitz move to a factorization file", (
+        _arg("file"),
+        _arg("index", type=int),
+        _arg("--direction", choices=("left", "right"), default="left"),
+    )),
+    "conjugate": (_cmd_conjugate, "conjugate every factor by one braid word", (
+        _arg("file"),
+        _arg("word"),
+    )),
+    "search": (_cmd_search, "search for a cuspidal factorization of the full twist", (
+        _arg("strands", type=_strands),
+        _arg("profile", help='s-values, e.g. "3,1,1,1"'),
+        _arg("--bound", type=int, default=4, help="conjugator length bound (default 4)"),
+        _arg("--max-nodes", type=int, default=2_000_000, help="search node budget (default 2000000)"),
+    )),
+    "fingerprint": (_cmd_fingerprint, "move-and-conjugation invariants of a factorization", (
+        _arg("file"),
+        _arg(
+            "--conj-budget",
+            type=_nonnegative,
+            default=0,
+            help="per-factor conjugacy work budget; 0 skips conjugacy keys (default 0)",
+        ),
+    )),
+    "decide": (_cmd_decide, "decide equivalence of two factorization files", (
+        _arg("file1"),
+        _arg("file2"),
+        _arg("--max-states", type=int, default=2000, help="orbit-state and conjugator cap (default 2000)"),
+        _arg(
+            "--nf-bound",
+            type=int,
+            default=None,
+            help="canonical-length bound per factor (default 2x the largest input factor)",
+        ),
+        _arg("--conj-bound", type=int, default=3, help="conjugator length bound (default 3)"),
+    )),
+    "pi1": (_cmd_pi1, "complement-group presentation of a factorization", (
+        _arg("file"),
+        _arg(
+            "--simplify",
+            type=_nonnegative,
+            default=0,
+            help="simplification budget; 0 leaves raw (default 0)",
+        ),
+    )),
+    "homs": (_cmd_homs, "homomorphisms of a presentation into S_n", (
+        _arg("file"),
+        _arg("n", type=int),
+        _arg("--epi", action="store_true", help="surjections only"),
+        _arg("--all", action="store_true", help="list all, not one per conjugacy class"),
+    )),
+    "order": (_cmd_order, "group order by coset enumeration", (
+        _arg("file"),
+        _arg(
+            "--budget",
+            type=int,
+            default=10000,
+            metavar="N",
+            help="N coset rows, or 4N table cells if fewer (default 10000)",
+        ),
+    )),
+    "arrangement": (_cmd_arrangement, "intersection lattice of the nine-line arrangement", ()),
+    "invariants": (_cmd_invariants, "branch-curve invariants for index m", (
+        _arg("m", type=int),
+    )),
+}
+
+
+@cache  # one parser per subcommand and process: main is called many times in one process
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the named one alone, which
+    parses that subcommand's arguments exactly as the full parser does."""
     parser = _Parser(prog="braidfact", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, help_text):
+    names = _SUBCOMMANDS if subcommand is None else (subcommand,)
+    for name in names:
+        func, help_text, arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument(
@@ -315,92 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="plain",
             help="plain: compact documented lines; structured: key=value per line",
         )
-        return p
-
-    p = add("nf", _cmd_nf, "left-greedy normal form of a braid word")
-    p.add_argument("strands", type=_strands)
-    p.add_argument("word", help='braid word, e.g. "1 2 -1"')
-
-    p = add("eq", _cmd_eq, "decide equality of two braid words")
-    p.add_argument("strands", type=_strands)
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("fulltwist", _cmd_fulltwist, "the full-twist word on d strands")
-    p.add_argument("strands", type=_strands)
-
-    p = add("validate", _cmd_validate, "check a factorization file against its target")
-    p.add_argument("file")
-
-    p = add("move", _cmd_move, "apply one Hurwitz move to a factorization file")
-    p.add_argument("file")
-    p.add_argument("index", type=int)
-    p.add_argument("--direction", choices=("left", "right"), default="left")
-
-    p = add("conjugate", _cmd_conjugate, "conjugate every factor by one braid word")
-    p.add_argument("file")
-    p.add_argument("word")
-
-    p = add("search", _cmd_search, "search for a cuspidal factorization of the full twist")
-    p.add_argument("strands", type=_strands)
-    p.add_argument("profile", help='s-values, e.g. "3,1,1,1"')
-    p.add_argument("--bound", type=int, default=4, help="conjugator length bound (default 4)")
-    p.add_argument(
-        "--max-nodes", type=int, default=2_000_000, help="search node budget (default 2000000)"
-    )
-
-    p = add("fingerprint", _cmd_fingerprint, "move-and-conjugation invariants of a factorization")
-    p.add_argument("file")
-    p.add_argument(
-        "--conj-budget",
-        type=_nonnegative,
-        default=0,
-        help="per-factor conjugacy work budget; 0 skips conjugacy keys (default 0)",
-    )
-
-    p = add("decide", _cmd_decide, "decide equivalence of two factorization files")
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.add_argument(
-        "--max-states", type=int, default=2000, help="orbit-state and conjugator cap (default 2000)"
-    )
-    p.add_argument(
-        "--nf-bound",
-        type=int,
-        default=None,
-        help="canonical-length bound per factor (default 2x the largest input factor)",
-    )
-    p.add_argument(
-        "--conj-bound", type=int, default=3, help="conjugator length bound (default 3)"
-    )
-
-    p = add("pi1", _cmd_pi1, "complement-group presentation of a factorization")
-    p.add_argument("file")
-    p.add_argument(
-        "--simplify", type=_nonnegative, default=0, help="simplification budget; 0 leaves raw (default 0)"
-    )
-
-    p = add("homs", _cmd_homs, "homomorphisms of a presentation into S_n")
-    p.add_argument("file")
-    p.add_argument("n", type=int)
-    p.add_argument("--epi", action="store_true", help="surjections only")
-    p.add_argument("--all", action="store_true", help="list all, not one per conjugacy class")
-
-    p = add("order", _cmd_order, "group order by coset enumeration")
-    p.add_argument("file")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=10000,
-        metavar="N",
-        help="N coset rows, or 4N table cells if fewer (default 10000)",
-    )
-
-    add("arrangement", _cmd_arrangement, "intersection lattice of the nine-line arrangement")
-
-    p = add("invariants", _cmd_invariants, "branch-curve invariants for index m")
-    p.add_argument("m", type=int)
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -410,8 +419,12 @@ def main(argv=None) -> int:
     Handlers report results and let library errors through: a malformed,
     unreadable or non-validating input file exits 65, and any other
     ValueError, like a bad argument, exits 64."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a subcommand's own parser is enough to run it; anything else (no
+    # argument, --help, an unknown word) gets the full parser's answer
+    name = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(name).parse_args(argv)
         return args.func(args)
     except SystemExit as e:  # --help prints and exits 0
         return 0 if not e.code else int(e.code)

@@ -161,8 +161,10 @@ def simplify(P: FinitePresentation, budget: int = 1000) -> FinitePresentation:
     Presents an isomorphic group, never increases the generator count, and
     is deterministic: among candidates the shortest defining relator wins,
     ties broken by generator index then relator index.  The budget caps
-    elimination steps.
+    elimination steps; it goes through operator.index, so a float is a
+    TypeError.
     """
+    budget = index(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
     ngens = P.ngens
@@ -229,6 +231,23 @@ def _class_minima(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(least.values())
 
 
+@lru_cache(maxsize=HOMS_MAX_N)
+def _inverses(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each 0-based permutation of S_n, in lexicographic order, mapped to its inverse."""
+    perms = itertools.permutations(range(n))
+    return {p: tuple(sorted(range(n), key=p.__getitem__)) for p in perms}
+
+
+@lru_cache(maxsize=HOMS_MAX_N)
+def _centralizers(n: int) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+    """Each of _class_minima(n) mapped to its centralizer in S_n, as
+    (c, inverse of c) pairs in lexicographic order."""
+    return {
+        m: tuple((c, ci) for c, ci in _inverses(n).items() if all(c[m[x]] == m[c[x]] for x in range(n)))
+        for m in _class_minima(n)
+    }
+
+
 def enumerate_homs(
     P: FinitePresentation,
     n: int,
@@ -241,23 +260,31 @@ def enumerate_homs(
     first generator maps to the least permutation of its cycle type, so
     generator 1 ranges over those class minima only (one per cycle type)
     and the others over all of S_n in lexicographic order; each relator is
-    checked as soon as all its generators are assigned.  A new complete
-    assignment is grown into its class by the n! conjugations, and whether
-    it generates S_n is decided once per class.  With up_to_conjugacy the
-    least member of each class is returned, otherwise every member; with
-    epi_only only images generating S_n.  The result is sorted by images.
+    checked as soon as all its generators are assigned.  Whether a new
+    complete assignment generates S_n is decided once per class.  With
+    up_to_conjugacy the least member of each class is returned, otherwise
+    every member; with epi_only only images generating S_n.  The result is
+    sorted by images.
+
+    A new assignment with first image c is closed under conjugation before
+    the search goes on, so that no later member of its class is taken for a
+    new one.  Generator 1 takes class minima only, so the members the search
+    can still meet are those whose first image is c: the conjugates by the
+    centralizer of c, which also hold the least member of the class.  With
+    up_to_conjugacy only those are formed; otherwise all n! conjugates are,
+    since every member is returned.
 
     The caps bound the input, and HOMS_MAX_WORK the time: one unit of work
     per candidate image tried and one per conjugate formed while closing
-    a class; past it SearchBudgetExceeded is raised.
+    a class; past it SearchBudgetExceeded is raised.  n goes through
+    operator.index: a float is a TypeError, and a bool counts as its int.
     """
+    n = index(n)
     if n < 1 or n > HOMS_MAX_N:
         raise ValueError(f"n must be in 1..{HOMS_MAX_N}")
     if P.ngens > HOMS_MAX_GENS:
         raise ValueError(f"generator count exceeds cap {HOMS_MAX_GENS}")
-    # 0-based image tuples in lexicographic order, each mapped to its inverse
-    perms = itertools.permutations(range(n))
-    inverse = {p: tuple(sorted(range(n), key=p.__getitem__)) for p in perms}
+    inverse = _inverses(n)
     by_last_gen: dict[int, list[tuple[int, ...]]] = {}
     for r in P.relators:
         by_last_gen.setdefault(r.max_index(), []).append(r.letters)
@@ -284,14 +311,15 @@ def enumerate_homs(
             if tup in seen:
                 return
             # a conjugate of a homomorphism is a homomorphism
-            cls = set()
-            for c, c_inv in inverse.items():
+            conjugators = _centralizers(n)[tup[0]] if up_to_conjugacy and tup else inverse.items()
+            orbit = set()
+            for c, c_inv in conjugators:
                 budget.tick()
-                cls.add(tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup))
-            seen.update(cls)
+                orbit.add(tuple(tuple(c[p[c_inv[x]]] for x in range(n)) for p in tup))
+            seen.update(orbit)
             epi = _generates_full(tup, n)
             if epi or not epi_only:
-                found.extend((h, epi) for h in ([min(cls)] if up_to_conjugacy else cls))
+                found.extend((h, epi) for h in ([min(orbit)] if up_to_conjugacy else orbit))
             return
         words = by_last_gen.get(g, ())
         for p in _class_minima(n) if g == 1 else inverse:
@@ -350,7 +378,9 @@ def group_order(P: FinitePresentation, budget: int = 10000) -> int | None:
     two generators keep `budget` rows.  On budget exhaustion one lookahead
     sweep makes deductions without definitions.  A returned integer is
     exact: the final table is complete and verified against every relator.
+    The budget goes through operator.index, so a float is a TypeError.
     """
+    budget = index(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
     if P.ngens == 0:

@@ -60,7 +60,9 @@ def fingerprint(F: Factorization, *, conjugacy_budget: int = 0) -> Fingerprint:
 
     Its exponent sum is the target's, which the factors' sum equals once F
     validates.  A conjugacy_budget of 0 leaves out the conjugacy keys; a
-    negative one is a ValueError."""
+    negative one is a ValueError, and one that is not an int through
+    operator.index a TypeError."""
+    conjugacy_budget = index(conjugacy_budget)
     if conjugacy_budget < 0:
         raise ValueError("conjugacy_budget must be nonnegative")
     return _fingerprint(F, _validated_key(F), conjugacy_budget)

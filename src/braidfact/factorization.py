@@ -274,10 +274,12 @@ def search_factorization(
     the first witness lies in a least s-sequence, and the result is the
     same as with every s-sequence searched.  Raises SearchBudgetExceeded
     when max_nodes runs out, which is distinct from returning None (nothing
-    within bounds).
+    within bounds).  Both bounds go through operator.index: a float is a
+    TypeError, and a bool counts as its int.
     """
     if d < 1:
         raise ValueError("strand count must be >= 1")
+    max_conjugator_length, max_nodes = index(max_conjugator_length), index(max_nodes)
     if max_conjugator_length < 0 or max_nodes <= 0:
         raise ValueError("bounds must be nonnegative/positive")
     profile = tuple(sorted(profile))
@@ -297,14 +299,14 @@ def search_factorization(
     budget = WorkBudget(max_nodes)
     index_by_s: dict[int, dict] = {s: {} for s in set(profile)}
     for zkey, letters in _braids(d, max_conjugator_length):
-        for s, index in index_by_s.items():
+        for s, by_key in index_by_s.items():
             budget.tick()
-            index.setdefault(_cusp_key(d, s, zkey), letters)
+            by_key.setdefault(_cusp_key(d, s, zkey), letters)
     steps_by_s: dict[int, list] = {}
     stats_by_s: dict[int, tuple[int, int]] = {}
-    for s, index in index_by_s.items():
-        steps_by_s[s] = [(rho, nf_inv(d, key)) for key, rho in index.items()]
-        stats_by_s[s] = (min(k[0] for k in index), max(k[0] + len(k[1]) for k in index))
+    for s, by_key in index_by_s.items():
+        steps_by_s[s] = [(rho, nf_inv(d, key)) for key, rho in by_key.items()]
+        stats_by_s[s] = (min(k[0] for k in by_key), max(k[0] + len(k[1]) for k in by_key))
 
     # Per suffix of s-values: (min inf, max sup) of its factor products, and
     # its number of odd s-values.

@@ -512,6 +512,20 @@ def test_conjugacy_input_checks():
         summit_key(3, nf_key(BraidWord(3, (1,))), 0)
 
 
+def test_integer_bounds_go_through_index():
+    # a float bound is a TypeError, not rounded; a bool counts as its int
+    u, v = BraidWord(3, (1, 2)), BraidWord(3, (2, 1))
+    with pytest.raises(TypeError):
+        enumerate_braids(3, 2.5)
+    with pytest.raises(TypeError):
+        conjugacy_test(u, v, 2.5)
+    with pytest.raises(TypeError):
+        summit_key(3, nf_key(u), 2.5)
+    assert enumerate_braids(3, True) == enumerate_braids(3, 1)
+    assert conjugacy_test(u, v, True) == conjugacy_test(u, v, 1)
+    assert summit_key(3, nf_key(u), True) == summit_key(3, nf_key(u), 1)
+
+
 def pair_algebra_words(rng, d):
     """Empty words, half-twist powers of both signs, single permutation
     braids and random words in B_d."""
@@ -605,6 +619,10 @@ def test_nf_mul_and_nf_inv_are_memoised_on_their_arguments(monkeypatch):
 
 def test_simple_steps_are_the_normalised_permutation_braids():
     for d in range(1, 7):
-        identity = tuple(range(d))
-        keys = [nf_mul(d, (0, (p,))) for p in itertools.permutations(identity) if p != identity]
+        identity, half = tuple(range(d)), tuple(range(d - 1, -1, -1))
+        keys = [
+            nf_mul(d, (1, ()) if p == half else (0, (p,)))
+            for p in itertools.permutations(identity)
+            if p != identity
+        ]
         assert _simple_steps(d) == tuple((k, nf_inv(d, k)) for k in keys), d

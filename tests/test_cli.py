@@ -1,5 +1,6 @@
 """Command-line surface: documented examples, exit codes, format modes."""
 
+import argparse
 import subprocess
 import sys
 import time
@@ -444,6 +445,43 @@ def test_fulltwist_nonpositive_strands_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "search", "--help")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("search", "--help"), ("homs",), ("bogus",)])
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the parser of the subcommand it runs; its stdout,
+    # stderr and exit code are the full parser's, byte for byte
+    got = run(capsys, *argv)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda subcommand=None: full)
+    assert run(capsys, *argv) == got
+
+
+def subcommands(parser):
+    """The subcommand names of a parser, in order."""
+    return list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def test_build_parser_lists_every_subcommand():
+    assert subcommands(cli.build_parser()) == [
+        "nf", "eq", "fulltwist", "validate", "move", "conjugate", "search",
+        "fingerprint", "decide", "pi1", "homs", "order", "arrangement", "invariants",
+    ]
+    assert subcommands(cli.build_parser("homs")) == ["homs"]
+
+
+def test_main_builds_only_the_parser_it_runs(capsys, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(subcommand=None):
+        built.append(subcommand)
+        return build_parser(subcommand)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run(capsys, "fulltwist", "3")[0] == 0
+    assert run(capsys, "bogus")[0] == 64
+    assert built == ["fulltwist", None]
 
 
 # Each subcommand and the library function its handler calls, by the name

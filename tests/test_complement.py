@@ -260,6 +260,17 @@ def test_simplify_rejects_a_nonpositive_budget():
             simplify(TREFOIL, budget)
 
 
+def test_budgets_go_through_index():
+    # a float budget is a TypeError, not rounded; a bool counts as its int
+    cyclic = FinitePresentation(1, (FreeWord((1, 1, 1)),))
+    with pytest.raises(TypeError):
+        simplify(TREFOIL, 2.5)
+    with pytest.raises(TypeError):
+        group_order(cyclic, budget=2.5)
+    assert simplify(TREFOIL, True) == simplify(TREFOIL, 1)
+    assert group_order(cyclic, budget=True) == group_order(cyclic, budget=1)
+
+
 def test_simplify_preserves_hom_counts():
     rng = random.Random(17)
     for _ in range(25):
@@ -452,18 +463,45 @@ def test_enumerate_homs_is_deterministic_and_sorted():
 
 
 def test_enumerate_homs_work_limit(monkeypatch):
-    # Z into S_3: 3 class minima tried, each a new class of 6 conjugates
+    # Z into S_3: 3 class minima tried, each a new class closed under the
+    # centralizer of its image: 6 conjugates for the identity, 2 for (2 3)
+    # and 3 for (1 2 3)
     Z = FinitePresentation(1, ())
-    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 21)
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 14)
     assert len(enumerate_homs(Z, 3)) == 3
-    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 20)
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 13)
     with pytest.raises(SearchBudgetExceeded):
         enumerate_homs(Z, 3)
+    # every member of each class is listed, so all 6 conjugates are formed
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 21)
+    assert len(enumerate_homs(Z, 3, up_to_conjugacy=False)) == 6
+    monkeypatch.setattr(complement, "HOMS_MAX_WORK", 20)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_homs(Z, 3, up_to_conjugacy=False)
+
+
+def test_centralizers_of_the_class_minima():
+    # S_5's seven classes: 120, 12, 8, 6, 6, 4 and 5 elements commute with
+    # the least permutation of each cycle type
+    assert sorted(map(len, complement._centralizers(5).values()), reverse=True) == [120, 12, 8, 6, 6, 5, 4]
+    for n in range(1, 6):
+        inverses = complement._inverses(n)
+        assert list(inverses) == sorted(itertools.permutations(range(n)))
+        for p, q in inverses.items():
+            assert tuple(p[q[x]] for x in range(n)) == tuple(range(n))
+        for m, centralizer in complement._centralizers(n).items():
+            commuting = [c for c in inverses if all(c[m[x]] == m[c[x]] for x in range(n))]
+            assert [c for c, _ in centralizer] == commuting
+            assert all(inverses[c] == ci for c, ci in centralizer)
 
 
 def test_enumerate_homs_caps():
     with pytest.raises(ValueError):
         enumerate_homs(TREFOIL, 8)
+    # n goes through operator.index: a float is a TypeError, True is 1
+    with pytest.raises(TypeError):
+        enumerate_homs(TREFOIL, 2.5)
+    assert enumerate_homs(TREFOIL, True) == enumerate_homs(TREFOIL, 1)
     with pytest.raises(ValueError):
         enumerate_homs(FinitePresentation(9, ()), 2)
 

@@ -73,6 +73,13 @@ def test_fingerprint_rejects_a_negative_conjugacy_budget():
     assert fingerprint(CUBIC, conjugacy_budget=0) == fingerprint(CUBIC)
 
 
+def test_fingerprint_conjugacy_budget_goes_through_index():
+    # a float budget is a TypeError, not rounded; a bool counts as its int
+    with pytest.raises(TypeError):
+        fingerprint(CUBIC, conjugacy_budget=2.5)
+    assert fingerprint(CUBIC, conjugacy_budget=True) == fingerprint(CUBIC, conjugacy_budget=1)
+
+
 def test_fingerprint_requires_validation():
     with pytest.raises(ValueError):
         fingerprint(cuspidal(2, ((), 1)))

@@ -498,6 +498,29 @@ def test_search_three_cusp_quartic_control():
     assert format_factorization(F) == format_factorization(expected)
 
 
+def test_search_three_cusp_quartic_bound_3_witness():
+    # frozen first witness at bound 3 under the documented search order
+    F = search_factorization(4, (3, 3, 3, 1, 1, 1), 3)
+    assert F is not None and validate(F).ok
+    assert [(f.s, f.rho.letters) for f in F.factors] == [
+        (1, (-2,)), (1, (2, -3)), (1, (-2, -1, 3)),
+        (3, ()), (3, (-2, 1, 1)), (3, (-2, 1, 3)),
+    ]
+
+
+def test_search_bounds_go_through_index():
+    # a float bound is a TypeError, not rounded; a bool counts as its int
+    with pytest.raises(TypeError):
+        search_factorization(3, (3, 1, 1, 1), 2.5)
+    with pytest.raises(TypeError):
+        search_factorization(3, (3, 1, 1, 1), 2, max_nodes=1000.0)
+    assert search_factorization(3, (3, 1, 1, 1), True) == search_factorization(3, (3, 1, 1, 1), 1)
+    for max_nodes in (True, 1):
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            search_factorization(3, (3, 1, 1, 1), 4, max_nodes=max_nodes)
+        assert exc.value.nodes == 2
+
+
 def test_search_budget_exhaustion_raises():
     with pytest.raises(SearchBudgetExceeded) as exc:
         search_factorization(3, (3, 1, 1, 1), 4, max_nodes=3)

@@ -193,6 +193,20 @@ def random_factors(rng, d):
     ]
 
 
+def factor_key(f):
+    """The permutation braid f as a left normal form: (0, ()) for the
+    identity, (1, ()) for the half twist, else (0, (f,))."""
+    d = len(f)
+    if f == tuple(range(d)):
+        return 0, ()
+    return (1, ()) if f == tuple(range(d - 1, -1, -1)) else (0, (f,))
+
+
+def factor_keys(inf, factors):
+    """D^inf F_1 ... F_n as product's keys: (inf, ()), then one key per factor."""
+    return [(inf, ())] + [factor_key(tuple(f)) for f in factors]
+
+
 def tau(f):
     """The conjugate of a permutation braid by the half twist."""
     return tuple(len(f) - 1 - y for y in reversed(f))
@@ -380,7 +394,7 @@ def test_every_pair_of_permutation_braids(kernel, d):
     perms = list(itertools.permutations(range(d)))
     for a in perms:
         for b in perms:
-            assert kernel.product(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
+            assert kernel.product(d, factor_keys(0, [a, b])) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 def test_random_pairs_in_b6_to_b8(kernel):
@@ -390,7 +404,7 @@ def test_random_pairs_in_b6_to_b8(kernel):
     for _ in range(2000):
         d = rng.randint(6, 8)
         a, b = (tuple(rng.sample(range(d), d)) for _ in range(2))
-        assert kernel.product(d, [(0, [a, b])]) == ref_comb(d, 0, [a, b]), (a, b)
+        assert kernel.product(d, factor_keys(0, [a, b])) == ref_comb(d, 0, [a, b]), (a, b)
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +426,7 @@ def middle_half_twist_cases():
 
 def test_half_twist_factor_in_the_middle(kernel, middle_half_twist_cases):
     for d, inf, factors, expected in middle_half_twist_cases:
-        assert kernel.product(d, [(inf, factors)]) == expected, (d, inf, factors)
+        assert kernel.product(d, factor_keys(inf, factors)) == expected, (d, inf, factors)
 
 
 @pytest.fixture(scope="module")
@@ -449,13 +463,13 @@ def factor_cases():
 
 def test_factors_against_reference(kernel, factor_cases):
     for d, inf, factors, expected in factor_cases:
-        got = kernel.product(d, [(inf, factors)])
+        got = kernel.product(d, factor_keys(inf, factors))
         assert got == expected, (d, inf, factors)
         assert_left_weighted(d, got[1])
     assert kernel.product(4, []) == (0, ())
     assert kernel.product(4, [(0, [])]) == (0, ())
-    assert kernel.product(4, [(-2, [(0, 1, 2, 3)])]) == (-2, ())
-    assert kernel.product(4, [(-1, [(3, 2, 1, 0)] * 3)]) == (2, ())
+    assert kernel.product(4, factor_keys(-2, [(0, 1, 2, 3)])) == (-2, ())
+    assert kernel.product(4, factor_keys(-1, [(3, 2, 1, 0)] * 3)) == (2, ())
 
 
 @pytest.mark.parametrize("factor", [(0, 1), (0, 1, 2, 3), (0, 0, 2), (0, 1, 3), (-1, 0, 1)])
@@ -473,7 +487,7 @@ def test_factor_images_must_be_ints(kernel, warm):
     # bad image of a factor decides the error
     if warm:
         for factors in ([(1, 0, 2), (1, 0, 2)], [(1, 0, 2), (0, 2, 1)]):
-            got = kernel.product(3, [(0, factors)])
+            got = kernel.product(3, factor_keys(0, factors))
             assert kernel.product(3, [got]) == got
             with pytest.raises(ValueError):  # a factor of B_3 is none of B_4
                 kernel.product(4, [got])
@@ -507,7 +521,7 @@ def test_memos_are_transparent_and_bounded(kernel):
             assert got == expected, (d, letters)
             assert kernel.product(d, [got]) == expected
         for d, inf, factors, expected in keys:
-            got = kernel.product(d, [(inf, factors)])
+            got = kernel.product(d, factor_keys(inf, factors))
             assert got == expected, (d, inf, factors)
             assert kernel.product(d, [got]) == expected
         assert garside_py._fix_pair.cache_info().currsize <= garside_py._MEMO_SIZE
@@ -516,7 +530,7 @@ def test_memos_are_transparent_and_bounded(kernel):
     check()
     check()
     for _ in range(2 * garside_py._MEMO_SIZE):
-        kernel.product(8, [(1, [tuple(rng.sample(range(8), 8)) for _ in range(2)])])
+        kernel.product(8, factor_keys(1, [tuple(rng.sample(range(8), 8)) for _ in range(2)]))
     if kernel is garside_py:
         assert garside_py._fix_pair.cache_info().currsize == garside_py._MEMO_SIZE
     check()
@@ -554,9 +568,55 @@ def test_multi_key_product(kernel, multi_key_cases):
     # sigma_1 Delta = Delta sigma_2
     assert kernel.product(3, [(0, [(1, 0, 2)]), (1, [])]) == (1, ((0, 2, 1),))
     for d, keys, expected in multi_key_cases:
-        got = kernel.product(d, keys)
+        got = kernel.product(d, [k for key in keys for k in factor_keys(*key)])
         assert got == expected, (d, keys)
-        assert kernel.product(d, [one_key(keys)]) == got, (d, keys)
+        assert kernel.product(d, factor_keys(*one_key(keys))) == got, (d, keys)
+
+
+# (d, left key, right key, lookups): products of two normal forms whose seam
+# needs combing, and the comb lookups the pure kernel makes for them cold
+SEAM_CASES = [
+    # the right key's first factor combs back into sigma_3; its second fits
+    # the combed pair, and its third goes on after it with no lookup
+    (5, (0, ((0, 1, 3, 2, 4),)), (0, ((2, 0, 4, 3, 1), (0, 1, 2, 4, 3), (0, 1, 2, 4, 3))), 2),
+    # sigma_2 and the right key's first factor form Delta at the seam, which
+    # folds into the Delta power; the other two factors go on with no lookup
+    (3, (0, ((0, 2, 1),)), (0, ((2, 0, 1), (0, 2, 1), (0, 2, 1))), 1),
+]
+
+
+@pytest.mark.parametrize("d, left, right, lookups", SEAM_CASES)
+def test_product_combs_only_the_seam(kernel, monkeypatch, d, left, right, lookups):
+    calls = []
+    fix_pair = garside_py._fix_pair
+
+    def counting_fix_pair(*args):
+        calls.append(None)
+        return fix_pair(*args)
+
+    monkeypatch.setattr(garside_py, "_fix_pair", counting_fix_pair)
+    got = kernel.product(d, [left, right])
+    assert got == ref_product(d, [left, right])
+    if kernel is garside_py:
+        assert len(calls) == lookups
+    # odd infs on either side conjugate a key's block by the half twist
+    for p, q in ((1, 0), (0, -1), (3, 2)):
+        keys = [(p, left[1]), (q, right[1])]
+        assert kernel.product(d, keys) == ref_product(d, keys), (p, q)
+
+
+def test_long_key_times_one_factor_key(kernel):
+    # a key of many factors times a key of one, in both orders, for every
+    # (or, in B_6, a seeded sample of) one-factor key
+    rng = random.Random(20261022)
+    for d in (3, 4, 5, 6):
+        long = (0, ())
+        while len(long[1]) < 5:
+            long = ref_normal_form(d, random_word(rng, d, 40))
+        perms = [p for p in itertools.permutations(range(d)) if factor_key(p)[1]]
+        for p in perms if d < 6 else rng.sample(perms, 60):
+            for keys in ([long, (0, (p,))], [(0, (p,)), long]):
+                assert kernel.product(d, keys) == ref_product(d, keys), (d, keys)
 
 
 @pytest.mark.parametrize(
@@ -571,6 +631,9 @@ def test_multi_key_product(kernel, multi_key_cases):
         ((0, [(0, 1)]), ValueError),  # a factor of the wrong length
         ((0, [(0, 2, 2)]), ValueError),  # a repeated image
         ((0, [(1.0, 0, 2), (0, 1)]), ValueError),  # every length before any image
+        ((0, [(0, 1, 2)]), ValueError),  # an identity factor
+        ((0, [(2, 1, 0)]), ValueError),  # a half-twist factor
+        ((0, [(1, 0, 2), (0, 2, 1)]), ValueError),  # a pair that is not left-weighted
     ],
 )
 @checking_kernel
@@ -626,8 +689,8 @@ def test_pure_compiled_factor_parity(compiled):
         d = rng.randint(1, 8)
         factors = random_factors(rng, d)
         inf = rng.randint(-5, 5)
-        got = compiled.product(d, [(inf, factors)])
-        assert got == garside_py.product(d, [(inf, factors)]), (d, inf, factors)
+        keys = factor_keys(inf, factors)
+        assert compiled.product(d, keys) == garside_py.product(d, keys), (d, inf, factors)
 
 
 def test_c_source_compiles_warning_free(tmp_path):
