@@ -17,8 +17,9 @@ letters in reading order.  Under this convention
   - a pair (a, b) is left-weighted iff starting(b) is contained in
     finishing(a).
 
-The kernel's entries share one shift and one comb.  normal_form
-takes a signed letter word and folds it into runs, each one permutation
+The kernel's entries share one comb, after each has moved every Delta
+power to the front: normal_form with _shift, a run at a time, and
+product a key at a time.  normal_form takes a signed letter word and folds it into runs, each one permutation
 braid: a letter joins the current run while it adds a crossing (sigma_i)
 or cancels one (sigma_i^-1), else it opens the next run, with a Delta^-1
 before it if the letter is inverse; each run is combed in on its own.
@@ -27,7 +28,7 @@ first factor.  A key's factors are combed in only until one appends
 unchanged; its own pairs are left-weighted, so the rest of it goes on as
 a block, and a product of normal forms is combed only at its seams (the
 right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9).  _shift moves every Delta power to the front first.
+ch. 9).
 
 The comb slides crossings from the front of a factor to the back of its
 left neighbour until every pair is left-weighted: one insertion pass per
@@ -130,20 +131,13 @@ def _tau(p):
     return tuple([d - 1 - v for v in reversed(p)])
 
 
-def _tau_block(block):
-    """tau of each factor of a block."""
-    return tuple(map(_tau, block))
-
-
-def _shift(raw, powers, trailing, tau):
+def _shift(raw, powers, trailing):
     """Move the powers of D^powers[0] raw[0] D^powers[1] raw[1] ... D^trailing
-    to the front: an item passing D^n becomes tau^n of itself, an item being
-    a factor (tau is _tau) or a block of factors (_tau_block).  Returns the
-    sum."""
+    to the front: a factor passing D^n becomes tau^n of itself.  Returns the sum."""
     dp = trailing
     for j in range(len(raw) - 1, -1, -1):
         if dp & 1:
-            raw[j] = tau(raw[j])
+            raw[j] = _tau(raw[j])
         dp += powers[j]
     return dp
 
@@ -172,8 +166,11 @@ def _comb(d, inf, blocks, normal):
     # x_(j+1)) is left-weighted, so the result is the one the slides give.
     factors = []
     for block in blocks:
-        rest = iter(block)
-        for a in rest:
+        fits = False
+        for a in block:
+            if fits:
+                factors.append(a)
+                continue
             if a == identity:
                 continue
             j = len(factors)
@@ -195,9 +192,6 @@ def _comb(d, inf, blocks, normal):
                 del factors[j]
                 factors[:j] = map(_tau, factors[:j])
                 inf += 1
-            elif fits:
-                factors += rest
-                break
     return inf, tuple(factors)
 
 
@@ -237,7 +231,7 @@ def normal_form(d, letters):
         pi[i + 1] = x
 
     raw = list(map(tuple, raw))
-    return _comb(d, _shift(raw, dpows, 0, _tau), (raw,), False)
+    return _comb(d, _shift(raw, dpows, 0), (raw,), False)
 
 
 def product(d, keys):
@@ -264,4 +258,8 @@ def product(d, keys):
             power = 0
     if d == 1:
         return 0, ()  # the half twist of B_1 is the identity
-    return _comb(d, _shift(blocks, powers, power, _tau_block), blocks, True)
+    for j in range(len(blocks) - 1, -1, -1):  # as _shift does, a key at a time
+        if power & 1:
+            blocks[j] = tuple(map(_tau, blocks[j]))
+        power += powers[j]
+    return _comb(d, power, blocks, True)
