@@ -19,16 +19,16 @@ letters in reading order.  Under this convention
 
 The kernel's entries share one comb, after each has moved every Delta
 power to the front: normal_form with _shift, a run at a time, and
-product a key at a time.  normal_form takes a signed letter word and folds it into runs, each one permutation
-braid: a letter joins the current run while it adds a crossing (sigma_i)
-or cancels one (sigma_i^-1), else it opens the next run, with a Delta^-1
-before it if the letter is inverse; each run is combed in on its own.
-product takes left normal forms (inf, factors), each inf before the key's
-first factor.  A key's factors are combed in only until one appends
-unchanged; its own pairs are left-weighted, so the rest of it goes on as
-a block, and a product of normal forms is combed only at its seams (the
-right multiplication of Epstein et al., Word Processing in Groups,
-ch. 9).
+product a key at a time.  normal_form takes a signed letter word and
+folds it into runs, each one permutation braid: a letter joins the
+current run while it adds a crossing (sigma_i) or cancels one
+(sigma_i^-1), else it opens the next run, with a Delta^-1 before it if
+the letter is inverse; each run is combed in on its own.  product takes
+left normal forms (inf, factors), each inf before the key's first
+factor.  A key's factors are combed in only until one appends unchanged;
+its own pairs are left-weighted, so the rest of it goes on as a block,
+and a product of normal forms is combed only at its seams (the right
+multiplication of Epstein et al., Word Processing in Groups, ch. 9).
 
 The comb slides crossings from the front of a factor to the back of its
 left neighbour until every pair is left-weighted: one insertion pass per
